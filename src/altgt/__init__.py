@@ -24,7 +24,7 @@ from .labels import (
     labels,
     young_graph,
 )
-from .associator import apply_phi, assoc_coeff, phi_matrix
+from .associator import apply_phi, assoc_coeff
 from .partitions import Partition, partitions_of, self_conjugate_partitions
 from .scalars import GaussianRational, Scalar, i_power, sqrt_rational
 from .tableaux import (
@@ -78,7 +78,6 @@ __all__ = [
     "partitions_of",
     "path_equivalent",
     "permutation_sign",
-    "phi_matrix",
     "reference_tableau",
     "rep_matrix",
     "restrict",

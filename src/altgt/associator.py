@@ -14,8 +14,8 @@ identity, and the map anticommutes with every adjacent transposition.
 from __future__ import annotations
 
 from .partitions import Partition
-from .scalars import ZERO, Scalar, i_power
-from .tableaux import StandardTableau, enumerate_syt, permutation_sign
+from .scalars import Scalar, i_power
+from .tableaux import StandardTableau, permutation_sign
 from .yor import GTVector
 
 
@@ -26,7 +26,8 @@ def assoc_coeff(shape: Partition, tableau: StandardTableau) -> Scalar:
     if tableau.shape != shape:
         raise ValueError(f"tableau shape {tableau.shape} is not {shape}")
     n, d = shape.n, shape.diagonal_length()
-    assert (n - d) % 2 == 0, "n - d must be even for a self-conjugate shape"
+    if (n - d) % 2:
+        raise RuntimeError(f"n - d is odd for the self-conjugate shape {shape}")
     root = i_power((n - d) // 2)
     sign = permutation_sign(shape, tableau)
     return root if sign == 1 else -root
@@ -40,16 +41,3 @@ def apply_phi(shape: Partition, vec: GTVector) -> GTVector:
     for tableau, coeff in vec.items():
         out[tableau.conjugate()] = coeff * assoc_coeff(shape, tableau)
     return GTVector(shape, out)
-
-
-def phi_matrix(shape: Partition) -> list[list[Scalar]]:
-    """Matrix of the intertwiner in the tableau basis (enumeration order)."""
-    basis = enumerate_syt(shape)
-    index = {t: k for k, t in enumerate(basis)}
-    dim = len(basis)
-    mat = [[ZERO] * dim for _ in range(dim)]
-    for col, tableau in enumerate(basis):
-        image = apply_phi(shape, GTVector.basis(tableau))
-        for t, c in image.items():
-            mat[index[t]][col] = c
-    return mat

@@ -77,7 +77,8 @@ def _build(path: AltPath) -> GTVector:
         return carried
     mirrored = apply_phi(head.partition, carried)
     # the two halves live over conjugate prefixes, so they cannot overlap
-    assert not set(carried.support()) & set(mirrored.support())
+    if set(carried.support()) & set(mirrored.support()):
+        raise RuntimeError(f"the two halves of the vector for {path} overlap")
     return carried + mirrored if head.sign == 1 else carried - mirrored
 
 
@@ -89,5 +90,6 @@ def gt_basis(
         (path, gt_vector(path, normalize=normalize))
         for path in geodesic_representatives(label)
     )
-    assert len(pairs) == dim_alt(label)
+    if len(pairs) != dim_alt(label):
+        raise RuntimeError(f"{len(pairs)} classes at {label}, expected {dim_alt(label)}")
     return pairs

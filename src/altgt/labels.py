@@ -168,7 +168,8 @@ def dim_alt(label: AltLabel) -> int:
     """Dimension: the tableau count of the partition, halved when signed."""
     count = syt_count(label.partition)
     if label.is_signed():
-        assert count % 2 == 0
+        if count % 2:
+            raise RuntimeError(f"odd tableau count {count} for signed label {label}")
         return count // 2
     return count
 

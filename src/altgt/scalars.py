@@ -268,6 +268,9 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # __eq__ coerces ints and Fractions, so rational values hash like them
+        if self.is_rational():
+            return hash(self.as_rational())
         return hash(tuple(self._terms.items()))
 
     def __str__(self) -> str:

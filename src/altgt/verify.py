@@ -14,10 +14,9 @@ from . import associator, yor
 from .geodesics import class_members, geodesic_representatives, path_equivalent
 from .gt import embed, gt_vector, restrict
 from .labels import AltLabel, dim_alt, labels, level_dimension_total
-from .partitions import partitions_of, self_conjugate_partitions
-from .scalars import ONE
+from .partitions import Partition, partitions_of, self_conjugate_partitions
 from .tableaux import enumerate_syt, reference_tableau
-from .yor import GTVector, identity_matrix, is_zero_matrix, mat_add, mat_eq, mat_mul
+from .yor import GTVector
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,11 @@ class Check:
             "status": self.status,
             "witness": self.witness,
         }
+
+
+def _check(suite: str, subject: str, failure: str | None) -> Check:
+    """A passing check, or a failing one whose witness is the failure."""
+    return Check(suite, subject, "pass" if failure is None else "fail", failure)
 
 
 @dataclass
@@ -80,12 +84,37 @@ FOURTH_ROOT_TABLE = {
 }
 
 
-def _diff_witness(name: str, a, b) -> str:
-    for r, (ra, rb) in enumerate(zip(a, b)):
-        for c, (x, y) in enumerate(zip(ra, rb)):
-            if x != y:
-                return f"{name}: entry ({r},{c}) is {x}, expected {y}"
-    return f"{name}: matrices agree"
+def _yor_failure(shape: Partition) -> str | None:
+    """First broken defining identity of the orthogonal representation,
+    checked on every tableau basis vector, or None."""
+    n = shape.n
+    basis = enumerate_syt(shape)
+    # columns[i][t] is the image of the basis vector of t under generator i
+    columns = {
+        i: {t: yor.act_simple(shape, i, GTVector.basis(t)) for t in basis}
+        for i in range(1, n)
+    }
+    for i, column in columns.items():
+        for t, image in column.items():
+            for u, c in image.items():
+                if c != c.conjugate() or column[u].coefficient(t) != c:
+                    return f"generator {i} is not real symmetric at entry ({u}, {t})"
+    for i, column in columns.items():
+        for t, image in column.items():
+            if yor.act_simple(shape, i, image) != GTVector.basis(t):
+                return f"square of generator {i} is not the identity on {t}"
+    for i in range(1, n - 1):
+        for t in basis:
+            lhs = yor.act_word(shape, (i, i + 1), columns[i][t])
+            if lhs != yor.act_word(shape, (i + 1, i), columns[i + 1][t]):
+                return f"braid at {i} fails on {t}"
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            for t in basis:
+                lhs = yor.act_simple(shape, i, columns[j][t])
+                if lhs != yor.act_simple(shape, j, columns[i][t]):
+                    return f"commutation ({i},{j}) fails on {t}"
+    return None
 
 
 def verify_yor(max_n: int) -> Report:
@@ -96,111 +125,58 @@ def verify_yor(max_n: int) -> Report:
     checks: list[Check] = []
     for n in range(2, max_n + 1):
         for shape in partitions_of(n):
-            subject = f"shape {shape}"
-            mats = {i: yor.rep_matrix(shape, i) for i in range(1, n)}
-            dim = len(enumerate_syt(shape))
-            ident = identity_matrix(dim)
-            failure = None
-            for i, m in mats.items():
-                real = all(x == x.conjugate() for row in m for x in row)
-                sym = all(
-                    m[r][c] == m[c][r] for r in range(dim) for c in range(dim)
-                )
-                if not (real and sym):
-                    failure = f"generator {i} not a real symmetric matrix"
-                    break
-            if failure is None:
-                for i, m in mats.items():
-                    if not mat_eq(mat_mul(m, m), ident):
-                        failure = _diff_witness(f"square of generator {i}",
-                                                mat_mul(m, m), ident)
-                        break
-            if failure is None:
-                for i in range(1, n - 1):
-                    lhs = mat_mul(mats[i], mat_mul(mats[i + 1], mats[i]))
-                    rhs = mat_mul(mats[i + 1], mat_mul(mats[i], mats[i + 1]))
-                    if not mat_eq(lhs, rhs):
-                        failure = _diff_witness(f"braid at {i}", lhs, rhs)
-                        break
-            if failure is None:
-                for i in range(1, n):
-                    for j in range(i + 2, n):
-                        lhs = mat_mul(mats[i], mats[j])
-                        rhs = mat_mul(mats[j], mats[i])
-                        if not mat_eq(lhs, rhs):
-                            failure = _diff_witness(
-                                f"commutation ({i},{j})", lhs, rhs
-                            )
-                            break
-                    if failure:
-                        break
-            if failure is None:
-                checks.append(Check("yor", subject, "pass"))
-            else:
-                checks.append(Check("yor", subject, "fail", failure))
+            checks.append(_check("yor", f"shape {shape}", _yor_failure(shape)))
     return Report(checks)
+
+
+def _phi_failure(shape: Partition) -> str | None:
+    """First broken identity of the intertwiner on a self-conjugate shape,
+    checked on every tableau basis vector, or None.
+
+    A map that sends each e_t to a multiple of e_(t transposed) and squares
+    to the identity has one +1 and one -1 eigenvector per transpose pair, so
+    the pairing and square checks already force the even eigenspace split.
+    """
+    images = {
+        t: associator.apply_phi(shape, GTVector.basis(t)) for t in enumerate_syt(shape)
+    }
+    for t, image in images.items():
+        if image.support() != (t.conjugate(),):
+            return f"not a monomial pairing at {t}"
+    for t, image in images.items():
+        if associator.apply_phi(shape, image) != GTVector.basis(t):
+            return f"square is not the identity on {t}"
+    for i in range(1, shape.n):
+        for t, image in images.items():
+            e = GTVector.basis(t)
+            one = yor.act_simple(shape, i, image)
+            other = associator.apply_phi(shape, yor.act_simple(shape, i, e))
+            if not (one + other).is_zero():
+                return f"generator {i} does not anticommute with phi on {t}"
+    expected = FOURTH_ROOT_TABLE.get(str(shape))
+    if expected is not None:
+        got = associator.assoc_coeff(shape, reference_tableau(shape))
+        if got.as_fourth_root() != expected:
+            return f"anchor coefficient {got}, expected {expected}"
+    return None
 
 
 def verify_associator(max_n: int) -> Report:
     """Identities of the intertwiner for self-conjugate shapes with n <= max_n:
-    anticommutation, involution, eigenspace split, anchor coefficients, and
+    monomial pairing, involution, anticommutation, anchor coefficients, and
     compatibility along self-conjugate covers."""
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
     checks: list[Check] = []
     for n in range(3, max_n + 1):
         for shape in self_conjugate_partitions(n):
-            subject = f"shape {shape}"
-            basis = enumerate_syt(shape)
-            dim = len(basis)
-            phi = associator.phi_matrix(shape)
-            failure = None
-            for i in range(1, n):
-                m = yor.rep_matrix(shape, i)
-                anti = mat_add(mat_mul(m, phi), mat_mul(phi, m))
-                if not is_zero_matrix(anti):
-                    failure = f"generator {i} does not anticommute"
-                    break
-            if failure is None and not mat_eq(mat_mul(phi, phi), identity_matrix(dim)):
-                failure = "square is not the identity"
-            if failure is None:
-                # the matrix pairs each tableau with its transpose, so each
-                # orbit contributes one +1 and one -1 eigenvector
-                plus = minus = 0
-                for t in basis:
-                    image = associator.apply_phi(shape, GTVector.basis(t))
-                    support = image.support()
-                    if len(support) != 1 or support[0] != t.conjugate():
-                        failure = f"not a monomial pairing at {t}"
-                        break
-                    c_t = image.coefficient(t.conjugate())
-                    c_back = associator.assoc_coeff(shape, t.conjugate())
-                    if c_t * c_back != ONE:
-                        failure = f"pairing at {t} does not invert"
-                        break
-                    if t.row_word() < t.conjugate().row_word():
-                        plus += 1
-                        minus += 1
-                if failure is None and not (plus == minus == dim // 2):
-                    failure = f"eigenspaces split {plus}/{minus}, expected {dim // 2} each"
-            if failure is None:
-                expected = FOURTH_ROOT_TABLE.get(str(shape))
-                if expected is not None:
-                    got = associator.assoc_coeff(shape, reference_tableau(shape))
-                    if got.as_fourth_root() != expected:
-                        failure = f"anchor coefficient {got}, expected {expected}"
-            if failure is None:
-                checks.append(Check("assoc", subject, "pass"))
-            else:
-                checks.append(Check("assoc", subject, "fail", failure))
+            checks.append(_check("assoc", f"shape {shape}", _phi_failure(shape)))
         # cover compatibility: the intertwiner commutes with adding the
         # final diagonal box
         for shape in self_conjugate_partitions(n):
-            partner, role = shape.self_conjugate_cover_partner()
+            small, role = shape.self_conjugate_cover_partner()
             if role != "larger":
                 continue
-            small = partner
-            subject = f"cover {small} up to {shape}"
             failure = None
             for t in enumerate_syt(small):
                 lifted = embed(GTVector.basis(t), shape)
@@ -209,10 +185,7 @@ def verify_associator(max_n: int) -> Report:
                 if one != other:
                     failure = f"disagrees at {t}"
                     break
-            if failure is None:
-                checks.append(Check("assoc", subject, "pass"))
-            else:
-                checks.append(Check("assoc", subject, "fail", failure))
+            checks.append(_check("assoc", f"cover {small} up to {shape}", failure))
     return Report(checks)
 
 
@@ -268,7 +241,9 @@ def verify_gt(label: AltLabel) -> Report:
         for p, base in zip(paths, vectors):
             mates = [m for m in class_members(p) if m.endpoint == label]
             for mate in mates:
-                assert path_equivalent(p, mate)
+                if not path_equivalent(p, mate):
+                    failure = f"class of {p}: member {mate} is not equivalent"
+                    break
                 other = gt_vector(mate)
                 if set(other.support()) != set(base.support()):
                     failure = f"class of {p} has mismatched supports"
@@ -304,9 +279,7 @@ def verify_gt(label: AltLabel) -> Report:
                     failure = f"{p} is not the eigenspace completion"
                     break
 
-    if failure is None:
-        return Report([Check("gt", subject, "pass")])
-    return Report([Check("gt", subject, "fail", failure)])
+    return Report([_check("gt", subject, failure)])
 
 
 def verify_gt_range(max_n: int) -> Report:
@@ -317,17 +290,8 @@ def verify_gt_range(max_n: int) -> Report:
     report = Report([])
     for n in range(2, max_n + 1):
         total, expected = level_dimension_total(n)
-        if total == expected:
-            report.checks.append(Check("gt", f"level {n} dimension count", "pass"))
-        else:
-            report.checks.append(
-                Check(
-                    "gt",
-                    f"level {n} dimension count",
-                    "fail",
-                    f"sum of squares {total}, expected {expected}",
-                )
-            )
+        failure = None if total == expected else f"sum of squares {total}, expected {expected}"
+        report.checks.append(_check("gt", f"level {n} dimension count", failure))
         for label in labels(n):
             report.extend(verify_gt(label))
     return Report(report.checks)

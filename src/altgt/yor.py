@@ -9,13 +9,15 @@ acts on a basis vector v_T by:
 * (1/r) v_T + sqrt(1 - 1/r^2) v_{T'} otherwise, where T' swaps i and i+1
   and r is the axial distance from i to i+1 in T.
 
-Matrices here are plain lists of rows of scalars; columns follow the
-enumeration order of the tableaux.
+Maps are applied to vectors; rep_matrix is the one place a map becomes a
+matrix, a list of rows whose columns follow the enumeration order of the
+tableaux.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .partitions import Partition
 from .scalars import ONE, ZERO, Scalar, sqrt_rational
@@ -122,6 +124,12 @@ class GTVector:
         return f"GTVector({self._shape!r}, {self._terms!r})"
 
 
+@lru_cache(maxsize=None)
+def _entries(r: int) -> tuple[Scalar, Scalar]:
+    """The coefficients 1/r and sqrt(1 - 1/r^2) at axial distance r."""
+    return Scalar.rational(Fraction(1, r)), sqrt_rational(Fraction(r * r - 1, r * r))
+
+
 def act_simple(shape: Partition, i: int, vec: GTVector) -> GTVector:
     """Apply the adjacent transposition (i, i+1) to a vector."""
     if vec.shape != shape:
@@ -143,9 +151,8 @@ def act_simple(shape: Partition, i: int, vec: GTVector) -> GTVector:
         elif c1 == c2:
             add(tableau, -coeff)
         else:
-            r = tableau.axial_distance(i)
-            add(tableau, coeff * Fraction(1, r))
-            mixing = sqrt_rational(Fraction(r * r - 1, r * r))
+            diagonal, mixing = _entries(tableau.axial_distance(i))
+            add(tableau, coeff * diagonal)
             add(tableau.swap_adjacent(i), coeff * mixing)
     return GTVector(shape, out)
 
@@ -168,36 +175,3 @@ def rep_matrix(shape: Partition, i: int) -> list[list[Scalar]]:
         for t, c in image.items():
             mat[index[t]][col] = c
     return mat
-
-
-def identity_matrix(dim: int) -> list[list[Scalar]]:
-    return [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
-
-
-def mat_mul(a, b) -> list[list[Scalar]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[ZERO] * cols for _ in range(rows)]
-    # representation matrices are very sparse; skip zero entries
-    for k in range(inner):
-        b_row = b[k]
-        for r in range(rows):
-            a_rk = a[r][k]
-            if not a_rk:
-                continue
-            out_row = out[r]
-            for c in range(cols):
-                if b_row[c]:
-                    out_row[c] = out_row[c] + a_rk * b_row[c]
-    return out
-
-
-def mat_add(a, b) -> list[list[Scalar]]:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_matrix(a) -> bool:
-    return all(not x for row in a for x in row)

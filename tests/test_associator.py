@@ -1,19 +1,11 @@
 import pytest
 
-from altgt.associator import apply_phi, assoc_coeff, phi_matrix
+from altgt.associator import apply_phi, assoc_coeff
 from altgt.gt import embed
 from altgt.partitions import Partition, self_conjugate_partitions
-from altgt.scalars import I, ONE, Scalar
+from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, enumerate_syt, reference_tableau
-from altgt.yor import (
-    GTVector,
-    identity_matrix,
-    is_zero_matrix,
-    mat_add,
-    mat_eq,
-    mat_mul,
-    rep_matrix,
-)
+from altgt.yor import GTVector, act_word
 
 
 def test_rejects_non_self_conjugate():
@@ -44,26 +36,30 @@ def test_apply_phi_worked_values():
         GTVector(shape, {StandardTableau.parse("125/3/4"): -ONE})
 
 
-def test_phi_matrix_smallest_case():
-    zero = Scalar()
-    assert phi_matrix(Partition((2, 1))) == [[zero, -I], [I, zero]]
+def test_phi_smallest_case():
+    shape = Partition((2, 1))
+    t1, t2 = enumerate_syt(shape)
+    assert apply_phi(shape, GTVector.basis(t1)) == GTVector(shape, {t2: I})
+    assert apply_phi(shape, GTVector.basis(t2)) == GTVector(shape, {t1: -I})
 
 
 def test_phi_is_an_involution():
     for n in range(3, 8):
         for shape in self_conjugate_partitions(n):
-            phi = phi_matrix(shape)
-            dim = len(enumerate_syt(shape))
-            assert mat_eq(mat_mul(phi, phi), identity_matrix(dim))
+            for t in enumerate_syt(shape):
+                v = GTVector.basis(t)
+                assert apply_phi(shape, apply_phi(shape, v)) == v
 
 
 def test_phi_anticommutes_with_generators():
     for n in range(3, 7):
         for shape in self_conjugate_partitions(n):
-            phi = phi_matrix(shape)
-            for i in range(1, n):
-                m = rep_matrix(shape, i)
-                assert is_zero_matrix(mat_add(mat_mul(m, phi), mat_mul(phi, m)))
+            for t in enumerate_syt(shape):
+                v = GTVector.basis(t)
+                for i in range(1, n):
+                    one = act_word(shape, (i,), apply_phi(shape, v))
+                    other = apply_phi(shape, act_word(shape, (i,), v))
+                    assert (one + other).is_zero()
 
 
 def test_coefficient_alternates_on_swaps():

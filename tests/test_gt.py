@@ -1,5 +1,6 @@
 import pytest
 
+from altgt import gt
 from altgt.associator import apply_phi
 from altgt.geodesics import AltPath, enumerate_paths, geodesic_representatives
 from altgt.gt import embed, gt_basis, gt_vector, restrict
@@ -142,3 +143,11 @@ def test_normalized_basis_is_orthonormal():
         assert u.norm_squared() == ONE
         for w in vectors[a + 1:]:
             assert u.inner(w) == Scalar.rational(0)
+
+
+def test_overlapping_halves_raise(monkeypatch):
+    # an intertwiner that fixes the carried vector breaks the disjoint-support
+    # invariant of the eigenspace completion
+    monkeypatch.setattr(gt, "apply_phi", lambda shape, vec: vec)
+    with pytest.raises(RuntimeError, match="overlap"):
+        gt_vector(path("2;2,1^+"))

@@ -180,3 +180,12 @@ def test_json_round_trip_random(a):
 @given(st.integers(min_value=0, max_value=400))
 def test_sqrt_squares_back(q):
     assert sqrt_rational(q) * sqrt_rational(q) == Scalar.rational(q)
+
+
+def test_hash_agrees_with_equality():
+    assert Scalar.rational(1) == 1
+    assert len({Scalar.rational(1), 1}) == 1
+    assert hash(ZERO) == hash(0)
+    half = Fraction(1, 2)
+    assert hash(Scalar.rational(half)) == hash(half)
+    assert len({Scalar.rational(half), half, sqrt_rational(half)}) == 2

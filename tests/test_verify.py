@@ -1,9 +1,9 @@
 import pytest
 
-from altgt import associator, yor
+from altgt import associator, verify, yor
 from altgt.labels import AltLabel
-from altgt.scalars import ONE
-from altgt.tableaux import permutation_sign
+from altgt.scalars import I, ONE
+from altgt.tableaux import StandardTableau, permutation_sign
 from altgt.verify import (
     Check,
     Report,
@@ -101,6 +101,28 @@ def unsigned_coeff(shape, tableau, _orig=associator.assoc_coeff):
     return -c if permutation_sign(shape, tableau) == -1 else c
 
 
+def rotated_coeff(shape, tableau, _orig=associator.assoc_coeff):
+    # phi squares to -1 but still anticommutes with every generator
+    return _orig(shape, tableau) * I
+
+
+def doubled_axial_distance(self, i, _orig=StandardTableau.axial_distance):
+    # each generator stays symmetric and involutive
+    return 2 * _orig(self, i)
+
+
+def skewed_mixing(shape, i, vec, _orig=yor.act_simple):
+    # negate the off-diagonal term when i sits in a higher row than i+1
+    out = GTVector.zero(shape)
+    for t, c in vec.items():
+        image = _orig(shape, i, GTVector.basis(t))
+        (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
+        if r1 < r2 and c1 != c2:
+            image = GTVector(shape, {u: a if u == t else -a for u, a in image.items()})
+        out = out + image.scale(c)
+    return out
+
+
 def test_fault_injection_yor(monkeypatch):
     monkeypatch.setattr(yor, "act_simple", column_flip)
     report = verify_yor(4)
@@ -124,7 +146,35 @@ def test_fault_injection_gt(monkeypatch):
     assert "eigenvector" in report.failures()[0].witness
 
 
+def test_fault_injection_square(monkeypatch):
+    monkeypatch.setattr(associator, "assoc_coeff", rotated_coeff)
+    report = verify_associator(6)
+    bad = report.failures()
+    assert [c.subject for c in bad] == ["shape 2,1", "shape 2,2", "shape 3,1,1", "shape 3,2,1"]
+    assert all("square" in c.witness for c in bad)
+
+
+def test_fault_injection_braid(monkeypatch):
+    monkeypatch.setattr(StandardTableau, "axial_distance", doubled_axial_distance)
+    bad = verify_yor(4).failures()
+    assert {c.subject for c in bad} == {"shape 2,1", "shape 3,1", "shape 2,2", "shape 2,1,1"}
+    assert all("braid" in c.witness for c in bad)
+
+
+def test_fault_injection_symmetric(monkeypatch):
+    monkeypatch.setattr(yor, "act_simple", skewed_mixing)
+    bad = verify_yor(4).failures()
+    assert {c.subject for c in bad} == {"shape 2,1", "shape 3,1", "shape 2,2", "shape 2,1,1"}
+    assert all("symmetric" in c.witness for c in bad)
+
+
+def test_fault_injection_class_members(monkeypatch):
+    monkeypatch.setattr(verify, "path_equivalent", lambda p, q: False)
+    report = verify_gt(AltLabel.parse("3,1"))
+    assert "not equivalent" in report.failures()[0].witness
+
+
 def test_suites_clean_after_fault_tests():
     assert verify_yor(4).ok
-    assert verify_associator(4).ok
+    assert verify_associator(6).ok
     assert verify_gt(AltLabel.parse("2,1^+")).ok

@@ -5,17 +5,7 @@ import pytest
 from altgt.partitions import Partition, partitions_of
 from altgt.scalars import ONE, Scalar, sqrt_rational
 from altgt.tableaux import StandardTableau, enumerate_syt
-from altgt.yor import (
-    GTVector,
-    act_simple,
-    act_word,
-    identity_matrix,
-    is_zero_matrix,
-    mat_add,
-    mat_eq,
-    mat_mul,
-    rep_matrix,
-)
+from altgt.yor import GTVector, act_simple, act_word, rep_matrix
 from altgt.gt import embed
 
 
@@ -117,25 +107,55 @@ def test_index_range_errors():
 
 
 def test_defining_identities_all_shapes():
-    # involution, braid, distant commutation, symmetry with real entries
+    # involution, braid, distant commutation, symmetry with real entries,
+    # each applied to every tableau basis vector
     for n in range(2, 6):
         for shape in partitions_of(n):
-            mats = {i: rep_matrix(shape, i) for i in range(1, n)}
-            dim = len(enumerate_syt(shape))
-            ident = identity_matrix(dim)
-            for i, m in mats.items():
-                assert mat_eq(mat_mul(m, m), ident)
-                for r in range(dim):
-                    for c in range(dim):
-                        assert m[r][c] == m[c][r]
-                        assert m[r][c].conjugate() == m[r][c]
+            for t in enumerate_syt(shape):
+                v = GTVector.basis(t)
+                for i in range(1, n):
+                    assert act_word(shape, (i, i), v) == v
+                    for u, c in act_simple(shape, i, v).items():
+                        assert c.conjugate() == c
+                        assert act_simple(shape, i, GTVector.basis(u)).coefficient(t) == c
+                for i in range(1, n - 1):
+                    assert act_word(shape, (i, i + 1, i), v) == act_word(shape, (i + 1, i, i + 1), v)
+                for i in range(1, n):
+                    for j in range(i + 2, n):
+                        assert act_word(shape, (i, j), v) == act_word(shape, (j, i), v)
+
+
+def test_identities_against_sympy():
+    # an independent oracle: sympy's exact algebraic numbers, fed through the
+    # JSON form of the matrix entries
+    sympy = pytest.importorskip("sympy")
+
+    def entry(scalar):
+        return sum(
+            (sympy.Rational(term["re"]) + sympy.I * sympy.Rational(term["im"]))
+            * sympy.sqrt(term["radicand"])
+            for term in scalar.to_json()
+        )
+
+    def same(a, b):
+        return all(sympy.expand(x) == 0 for x in a - b)
+
+    for n in range(2, 7):
+        for shape in partitions_of(n):
+            mats = {
+                i: sympy.Matrix([[entry(x) for x in row] for row in rep_matrix(shape, i)])
+                for i in range(1, n)
+            }
+            ident = sympy.eye(len(enumerate_syt(shape)))
+            for m in mats.values():
+                assert m == m.T and m == m.conjugate()
+                assert same(m * m, ident)
             for i in range(1, n - 1):
-                lhs = mat_mul(mats[i], mat_mul(mats[i + 1], mats[i]))
-                rhs = mat_mul(mats[i + 1], mat_mul(mats[i], mats[i + 1]))
-                assert mat_eq(lhs, rhs)
+                a, b = mats[i], mats[i + 1]
+                assert same(a * b * a, b * a * b)
             for i in range(1, n):
                 for j in range(i + 2, n):
-                    assert mat_eq(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
+                    assert same(mats[i] * mats[j], mats[j] * mats[i])
 
 
 def test_restriction_commutes_with_action():
@@ -150,9 +170,3 @@ def test_restriction_commutes_with_action():
                         pushed = embed(act_simple(below, i, v), shape)
                         assert lifted == pushed
 
-
-def test_matrix_helpers():
-    ident = identity_matrix(2)
-    assert mat_eq(mat_mul(ident, ident), ident)
-    zero = mat_add(ident, [[-ONE, Scalar()], [Scalar(), -ONE]])
-    assert is_zero_matrix(zero)
