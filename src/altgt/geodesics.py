@@ -16,7 +16,6 @@ smallest position by position: partitions compared in rev-lex order, + before
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .labels import AltLabel, canonical_label, dagger_down_set, equivalent, in_dagger
 
@@ -57,13 +56,13 @@ class AltPath:
     def n(self) -> int:
         return self._labels[-1].n
 
-    def truncated(self) -> "AltPath":
-        if len(self._labels) == 1:
-            raise ValueError("cannot truncate a single-label path")
-        return AltPath(self._labels[:-1])
-
     def extended(self, label: AltLabel) -> "AltPath":
-        return AltPath(self._labels + (label,))
+        """This path one level longer; only the new link is checked."""
+        if not in_dagger(self.endpoint, label):
+            raise ValueError(f"{self.endpoint} does not branch from {label}")
+        path = object.__new__(AltPath)
+        path._labels = self._labels + (label,)
+        return path
 
     def sort_key(self):
         return tuple(label.sort_key() for label in self._labels)
@@ -128,33 +127,36 @@ def branch_count_r(path: AltPath) -> int:
 
 
 def class_members(path: AltPath) -> tuple[AltPath, ...]:
-    """The full equivalence class of a path, endpoints allowed to vary."""
-    choice_sets = []
+    """The full equivalence class of a path, endpoints allowed to vary.
+
+    Prefixes grow one level at a time, by the label or its unsigned
+    conjugate, and keep only the links that branch.
+    """
+    prefixes = [()]
     for label in path:
-        if label.is_signed():
-            choice_sets.append((label,))
-        else:
-            choice_sets.append((label, AltLabel(label.partition.conjugate())))
-    members = []
-    for combo in product(*choice_sets):
-        ok = all(in_dagger(lo, hi) for lo, hi in zip(combo, combo[1:]))
-        if ok:
-            members.append(AltPath(combo))
-    members.sort(key=AltPath.sort_key)
-    return tuple(members)
+        choices = [label]
+        if not label.is_signed():
+            choices.append(AltLabel(label.partition.conjugate()))
+        prefixes = [q + (c,) for q in prefixes for c in choices if not q or in_dagger(q[-1], c)]
+    return tuple(sorted(map(AltPath, prefixes), key=AltPath.sort_key))
 
 
+@lru_cache(maxsize=None)
 def geodesic_representatives(label: AltLabel) -> tuple[AltPath, ...]:
     """One path per equivalence class ending at this exact label.
 
-    enumerate_paths returns paths in sorted order, so the first appearance
-    of each class is its minimal member under the documented order.
+    A minimal class member truncates to a minimal member one level down, so
+    the representatives extend those of the down set; once sorted, the first
+    appearance of each class is its minimal member under the documented order.
     """
-    reps = []
-    seen = set()
-    for path in enumerate_paths(label):
-        sig = class_signature(path)
-        if sig not in seen:
-            seen.add(sig)
-            reps.append(path)
-    return tuple(reps)
+    if label.n == 2:
+        return (AltPath((label,)),)
+    found = []
+    for below in dagger_down_set(label):
+        for shorter in geodesic_representatives(below):
+            found.append(shorter.extended(label))
+    found.sort(key=AltPath.sort_key)
+    reps = {}
+    for path in found:
+        reps.setdefault(class_signature(path), path)
+    return tuple(reps.values())

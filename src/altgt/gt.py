@@ -60,36 +60,47 @@ _BASE_VECTORS = {
 
 def gt_vector(path: AltPath, normalize: bool = False) -> GTVector:
     """The basis vector attached to one branching path."""
-    vec = _build(path)
-    if normalize:
-        norm_sq = vec.norm_squared().as_rational()
-        vec = vec.scale(sqrt_rational(norm_sq).inverse())
-    return vec
+    return gt_vectors((path,), normalize=normalize)[0]
 
 
-def _build(path: AltPath) -> GTVector:
-    if len(path) == 1:
-        return GTVector.basis(_BASE_VECTORS[path.endpoint.partition.parts])
-    head = path.endpoint
-    prev = path.labels[-2]
-    carried = embed(_build(path.truncated()), head.partition)
-    if not head.is_signed() or prev.is_signed():
-        return carried
-    mirrored = apply_phi(head.partition, carried)
-    # the two halves live over conjugate prefixes, so they cannot overlap
-    if set(carried.support()) & set(mirrored.support()):
-        raise RuntimeError(f"the two halves of the vector for {path} overlap")
-    return carried + mirrored if head.sign == 1 else carried - mirrored
+def gt_vectors(paths, normalize: bool = False) -> list[GTVector]:
+    """The vector of each path, in order.
+
+    A stack holds (label, vector) for each prefix of the previous path, so
+    sorted paths build every shared prefix once.
+    """
+    out = []
+    stack: list[tuple[AltLabel, GTVector]] = []
+    for path in paths:
+        labels = path.labels
+        keep = 0
+        while keep < min(len(stack), len(labels)) and stack[keep][0] == labels[keep]:
+            keep += 1
+        del stack[keep:]
+        for head in labels[keep:]:
+            if not stack:
+                vec = GTVector.basis(_BASE_VECTORS[head.partition.parts])
+            else:
+                vec = embed(stack[-1][1], head.partition)
+                if head.is_signed() and not stack[-1][0].is_signed():
+                    mirrored = apply_phi(head.partition, vec)
+                    # the halves live over conjugate prefixes, so they cannot overlap
+                    if set(vec.support()) & set(mirrored.support()):
+                        raise RuntimeError(f"the two halves of the vector for {path} overlap")
+                    vec = vec + mirrored if head.sign == 1 else vec - mirrored
+            stack.append((head, vec))
+        vec = stack[-1][1]
+        if normalize:
+            vec = vec.scale(sqrt_rational(vec.norm_squared().as_rational()).inverse())
+        out.append(vec)
+    return out
 
 
 def gt_basis(
     label: AltLabel, normalize: bool = False
 ) -> tuple[tuple[AltPath, GTVector], ...]:
     """One (path, vector) pair per equivalence class ending at this label."""
-    pairs = tuple(
-        (path, gt_vector(path, normalize=normalize))
-        for path in geodesic_representatives(label)
-    )
-    if len(pairs) != dim_alt(label):
-        raise RuntimeError(f"{len(pairs)} classes at {label}, expected {dim_alt(label)}")
-    return pairs
+    paths = geodesic_representatives(label)
+    if len(paths) != dim_alt(label):
+        raise RuntimeError(f"{len(paths)} classes at {label}, expected {dim_alt(label)}")
+    return tuple(zip(paths, gt_vectors(paths, normalize=normalize)))

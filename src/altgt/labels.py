@@ -174,6 +174,7 @@ def dim_alt(label: AltLabel) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
 def canonical_label(label: AltLabel) -> AltLabel:
     """Rev-lex earlier member of the equivalence class (signed labels fixed)."""
     if label.is_signed():

@@ -76,10 +76,6 @@ class Partition:
         """Number of diagonal cells: max i with lambda_i >= i (1-based)."""
         return sum(1 for i, p in enumerate(self._parts, start=1) if p >= i)
 
-    def contains_cell(self, row: int, col: int) -> bool:
-        """0-based cell membership test."""
-        return 0 <= row < len(self._parts) and 0 <= col < self._parts[row]
-
     def down_set(self) -> tuple["Partition", ...]:
         """All partitions obtained by removing one removable corner cell."""
         if self.n < 2:

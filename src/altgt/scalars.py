@@ -97,7 +97,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals its Fraction (through Scalar), so hash like it
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -268,9 +269,10 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        # __eq__ coerces ints and Fractions, so rational values hash like them
-        if self.is_rational():
-            return hash(self.as_rational())
+        # __eq__ coerces ints, Fractions and GaussianRationals, so a value
+        # without radicals hashes like its coefficient
+        if set(self._terms) <= {1}:
+            return hash(self._terms.get(1, _GAUSS_ZERO))
         return hash(tuple(self._terms.items()))
 
     def __str__(self) -> str:

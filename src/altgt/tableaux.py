@@ -174,7 +174,11 @@ def syt_count(shape: Partition) -> int:
     """Number of standard tableaux, by the covering recursion."""
     if shape.n == 1:
         return 1
-    return sum(syt_count(below) for below in shape.down_set())
+    # a plain loop keeps the recursion at one frame per level
+    total = 0
+    for below in shape.down_set():
+        total += syt_count(below)
+    return total
 
 
 def row_superstandard(shape: Partition) -> StandardTableau:

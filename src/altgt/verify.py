@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import associator, yor
-from .geodesics import class_members, geodesic_representatives, path_equivalent
-from .gt import embed, gt_vector, restrict
+from .geodesics import AltPath, class_members, geodesic_representatives, path_equivalent
+from .gt import embed, gt_vectors, restrict
 from .labels import AltLabel, dim_alt, labels, level_dimension_total
 from .partitions import Partition, partitions_of, self_conjugate_partitions
 from .tableaux import enumerate_syt, reference_tableau
@@ -189,97 +189,69 @@ def verify_associator(max_n: int) -> Report:
     return Report(checks)
 
 
-def verify_gt(label: AltLabel) -> Report:
-    """Full exact audit of the basis attached to one label."""
-    subject = f"label {label}"
+def _gt_failure(label: AltLabel) -> str | None:
+    """First failed check of the basis attached to one label, or None."""
     paths = geodesic_representatives(label)
-    vectors = [gt_vector(p) for p in paths]
-    failure = None
-
+    vectors = gt_vectors(paths)
     if len(paths) != dim_alt(label):
-        failure = f"{len(paths)} classes, expected dimension {dim_alt(label)}"
-
-    if failure is None:
-        for p, v in zip(paths, vectors):
-            if any(c.as_fourth_root() is None for _, c in v.items()):
-                failure = f"non-unit coefficient on {p}"
-                break
-
-    if failure is None:
-        # every term's partial shapes must follow the path up to conjugation
-        for p, v in zip(paths, vectors):
-            for t, _ in v.items():
-                for step in p:
-                    part = t.prefix_shape(step.n)
-                    if part != step.partition and part != step.partition.conjugate():
-                        failure = f"support of {p} strays at level {step.n}"
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-
-    if failure is None and label.is_signed():
+        return f"{len(paths)} classes, expected dimension {dim_alt(label)}"
+    for p, v in zip(paths, vectors):
+        if any(c.as_fourth_root() is None for _, c in v.items()):
+            return f"non-unit coefficient on {p}"
+    # every term's partial shapes must follow the path up to conjugation
+    for p, v in zip(paths, vectors):
+        for t, _ in v.items():
+            for step in p:
+                part = t.prefix_shape(step.n)
+                if part != step.partition and part != step.partition.conjugate():
+                    return f"support of {p} strays at level {step.n}"
+    if label.is_signed():
         for p, v in zip(paths, vectors):
             expected = v if label.sign == 1 else -v
             if associator.apply_phi(label.partition, v) != expected:
-                failure = f"not a {label.sign:+d} eigenvector on {p}"
-                break
+                return f"not a {label.sign:+d} eigenvector on {p}"
+    for a in range(len(vectors)):
+        for b in range(a + 1, len(vectors)):
+            if not vectors[a].inner(vectors[b]).is_zero():
+                return f"vectors for {paths[a]} and {paths[b]} not orthogonal"
+    if label.n < 3:
+        return None
+    # equivalent paths ending here must give the same vector up to a fourth
+    # root of unity
+    for p, base in zip(paths, vectors):
+        mates = [m for m in class_members(p) if m.endpoint == label]
+        for mate, other in zip(mates, gt_vectors(mates)):
+            if not path_equivalent(p, mate):
+                return f"class of {p}: member {mate} is not equivalent"
+            if set(other.support()) != set(base.support()):
+                return f"class of {p} has mismatched supports"
+            t0 = base.support()[0]
+            ratio = other.coefficient(t0) / base.coefficient(t0)
+            if ratio.as_fourth_root() is None:
+                return f"class of {p}: ratio {ratio} is not a unit"
+            if other != base.scale(ratio):
+                return f"class of {p}: members not proportional"
+    # walking one step back down the path must recover the shorter vector
+    truncations = gt_vectors([AltPath(p.labels[:-1]) for p in paths])
+    for p, v, shorter in zip(paths, vectors, truncations):
+        head, prev = p.labels[-1], p.labels[-2]
+        if not head.is_signed() or prev.is_signed():
+            if v != embed(shorter, head.partition):
+                return f"{p} does not extend its truncation"
+        else:
+            if restrict(v, prev.partition) != shorter:
+                return f"{p} does not restrict to its truncation"
+            carried = embed(shorter, head.partition)
+            mirrored = associator.apply_phi(head.partition, carried)
+            rebuilt = carried + mirrored if head.sign == 1 else carried - mirrored
+            if v != rebuilt:
+                return f"{p} is not the eigenspace completion"
+    return None
 
-    if failure is None:
-        for a in range(len(vectors)):
-            for b in range(a + 1, len(vectors)):
-                if not vectors[a].inner(vectors[b]).is_zero():
-                    failure = f"vectors for {paths[a]} and {paths[b]} not orthogonal"
-                    break
-            if failure:
-                break
 
-    if failure is None and label.n >= 3:
-        # equivalent paths ending here must give the same vector up to a
-        # fourth root of unity
-        for p, base in zip(paths, vectors):
-            mates = [m for m in class_members(p) if m.endpoint == label]
-            for mate in mates:
-                if not path_equivalent(p, mate):
-                    failure = f"class of {p}: member {mate} is not equivalent"
-                    break
-                other = gt_vector(mate)
-                if set(other.support()) != set(base.support()):
-                    failure = f"class of {p} has mismatched supports"
-                    break
-                t0 = base.support()[0]
-                ratio = other.coefficient(t0) / base.coefficient(t0)
-                if ratio.as_fourth_root() is None:
-                    failure = f"class of {p}: ratio {ratio} is not a unit"
-                    break
-                if other != base.scale(ratio):
-                    failure = f"class of {p}: members not proportional"
-                    break
-            if failure:
-                break
-
-    if failure is None and label.n >= 3:
-        # walking one step back down the path must recover the shorter vector
-        for p, v in zip(paths, vectors):
-            head, prev = p.labels[-1], p.labels[-2]
-            shorter = gt_vector(p.truncated())
-            if not head.is_signed() or prev.is_signed():
-                if v != embed(shorter, head.partition):
-                    failure = f"{p} does not extend its truncation"
-                    break
-            else:
-                if restrict(v, prev.partition) != shorter:
-                    failure = f"{p} does not restrict to its truncation"
-                    break
-                carried = embed(shorter, head.partition)
-                mirrored = associator.apply_phi(head.partition, carried)
-                rebuilt = carried + mirrored if head.sign == 1 else carried - mirrored
-                if v != rebuilt:
-                    failure = f"{p} is not the eigenspace completion"
-                    break
-
-    return Report([_check("gt", subject, failure)])
+def verify_gt(label: AltLabel) -> Report:
+    """Full exact audit of the basis attached to one label."""
+    return Report([_check("gt", f"label {label}", _gt_failure(label))])
 
 
 def verify_gt_range(max_n: int) -> Report:

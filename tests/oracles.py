@@ -5,9 +5,9 @@ come from filtering raw permutations, signs from inversion counting, and
 conjugates from transposing cell sets.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
-from altgt import Partition, StandardTableau
+from altgt import AltLabel, AltPath, Partition, StandardTableau
 
 
 def brute_force_syt(shape: Partition) -> set[StandardTableau]:
@@ -56,3 +56,19 @@ def transpose_cells(shape: Partition) -> Partition:
     for r, _ in flipped:
         rows[r] = rows.get(r, 0) + 1
     return Partition([rows[r] for r in sorted(rows)])
+
+
+def brute_force_class_members(path: AltPath) -> list[AltPath]:
+    """Every path equivalent to this one, endpoints allowed to vary, by
+    trying each choice of a label or its conjugate at every level."""
+    choice_sets = [
+        (label,) if label.is_signed() else (label, AltLabel(transpose_cells(label.partition)))
+        for label in path
+    ]
+    members = []
+    for combo in product(*choice_sets):
+        try:
+            members.append(AltPath(combo))
+        except ValueError:
+            pass  # some link does not branch
+    return sorted(members, key=AltPath.sort_key)

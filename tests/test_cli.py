@@ -26,6 +26,16 @@ def test_syt_bad_shape(capsys):
     assert err == "error: invalid partition part 'x'\n"
 
 
+def test_deep_labels(capsys):
+    # 399 branching steps: each level of the walk costs one frame at most
+    code, out, _ = run_cli(capsys, "paths", "400")
+    assert code == 0
+    assert out == ";".join(map(str, range(2, 401))) + "\t2\n"
+    code, out, _ = run_cli(capsys, "gt", "400")
+    assert code == 0
+    assert out.startswith("u[2;3;4;") and out.count("\n") == 1
+
+
 def test_yor_text(capsys):
     code, out, _ = run_cli(capsys, "yor", "2,1", "--gen", "2")
     assert code == 0

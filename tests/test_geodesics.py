@@ -10,6 +10,7 @@ from altgt.geodesics import (
     path_equivalent,
 )
 from altgt.labels import AltLabel, dim_alt, labels
+from oracles import brute_force_class_members
 
 
 def path(text):
@@ -42,12 +43,15 @@ def test_validation():
 
 def test_truncated_and_extended():
     p = path("2;3;3,1;4,1;4,1,1")
-    assert str(p.truncated()) == "2;3;3,1;4,1"
-    assert p.truncated().extended(AltLabel.parse("4,1,1")) == p
+    shorter = AltPath(p.labels[:-1])
+    assert str(shorter) == "2;3;3,1;4,1"
+    assert shorter.extended(AltLabel.parse("4,1,1")) == p
     with pytest.raises(ValueError):
-        path("2").truncated()
+        AltPath(path("2").labels[:-1])
     with pytest.raises(ValueError):
         p.extended(AltLabel.parse("4,1,1"))  # wrong size for the next level
+    with pytest.raises(ValueError):
+        shorter.extended(AltLabel.parse("3,3"))  # not a branching step
 
 
 def test_enumerate_small():
@@ -140,3 +144,22 @@ def test_representatives_small_frozen():
         "2;2,1^-;2,1,1",
         "1,1;1,1,1;2,1,1",
     ]
+
+
+def test_representatives_match_first_of_class_filter():
+    # the upward walk against the first member of each class among all paths
+    for n in range(2, 9):
+        for label in labels(n):
+            expected, seen = [], set()
+            for p in enumerate_paths(label):
+                if class_signature(p) not in seen:
+                    seen.add(class_signature(p))
+                    expected.append(p)
+            assert list(geodesic_representatives(label)) == expected
+
+
+def test_class_members_match_product_filter():
+    for n in range(2, 8):
+        for label in labels(n):
+            for p in enumerate_paths(label):
+                assert list(class_members(p)) == brute_force_class_members(p)

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from altgt import gt
 from altgt.associator import apply_phi
 from altgt.geodesics import AltPath, enumerate_paths, geodesic_representatives
-from altgt.gt import embed, gt_basis, gt_vector, restrict
+from altgt.gt import embed, gt_basis, gt_vector, gt_vectors, restrict
 from altgt.labels import AltLabel, labels
 from altgt.partitions import Partition
 from altgt.scalars import I, ONE, Scalar, sqrt_rational
@@ -79,7 +81,7 @@ def test_restrict_inverts_embed():
         v = gt_vector(p)
         below = p.labels[-2].partition
         assert restrict(embed(v, Partition((5, 1, 1))), v.shape) == v
-        assert restrict(v, below) == gt_vector(p.truncated())
+        assert restrict(v, below) == gt_vector(AltPath(p.labels[:-1]))
 
 
 def test_truncation_property_all_paths():
@@ -87,7 +89,20 @@ def test_truncation_property_all_paths():
         for label in labels(n):
             for p in enumerate_paths(label):
                 below = p.labels[-2].partition
-                assert restrict(gt_vector(p), below) == gt_vector(p.truncated())
+                assert restrict(gt_vector(p), below) == gt_vector(AltPath(p.labels[:-1]))
+
+
+def test_gt_vectors_in_any_order():
+    # shuffled paths of mixed lengths, each also followed by its own prefix
+    paths = []
+    for n in range(2, 7):
+        for label in labels(n):
+            paths.extend(enumerate_paths(label))
+    random.Random(0).shuffle(paths)
+    paths = [q for p in paths[:150] for q in (p, AltPath(p.labels[:2]))]
+    assert gt_vectors(paths) == [gt_vector(p) for p in paths]
+    assert gt_vectors(paths, normalize=True) == [gt_vector(p, normalize=True) for p in paths]
+    assert gt_vectors([]) == []
 
 
 def test_eigenvector_for_signed_labels():

@@ -189,3 +189,9 @@ def test_hash_agrees_with_equality():
     half = Fraction(1, 2)
     assert hash(Scalar.rational(half)) == hash(half)
     assert len({Scalar.rational(half), half, sqrt_rational(half)}) == 2
+    # a GaussianRational equals the Scalar with it as rational part
+    assert Scalar.rational(1) == GaussianRational(1)
+    assert len({Scalar.rational(1), GaussianRational(1), 1}) == 1
+    assert hash(GaussianRational(half)) == hash(half)
+    assert len({Scalar.gaussian(half, -1), GaussianRational(half, -1)}) == 1
+    assert len({ZERO, GaussianRational(0), 0}) == 1

@@ -1,6 +1,6 @@
 import pytest
 
-from altgt import associator, verify, yor
+from altgt import associator, gt, verify, yor
 from altgt.labels import AltLabel
 from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, permutation_sign
@@ -172,6 +172,19 @@ def test_fault_injection_class_members(monkeypatch):
     monkeypatch.setattr(verify, "path_equivalent", lambda p, q: False)
     report = verify_gt(AltLabel.parse("3,1"))
     assert "not equivalent" in report.failures()[0].witness
+
+
+def negated_phi(shape, vec, _orig=associator.apply_phi):
+    # the completion w + e*phi(w) lands in the wrong eigenspace
+    return -_orig(shape, vec)
+
+
+def test_fault_injection_walk(monkeypatch):
+    # break only the walk's own binding of phi; the audit's stays intact
+    monkeypatch.setattr(gt, "apply_phi", negated_phi)
+    for text in ("2,1^+", "2,1^-", "2,2^+", "3,1,1^-"):
+        report = verify_gt(AltLabel.parse(text))
+        assert "eigenvector" in report.failures()[0].witness
 
 
 def test_suites_clean_after_fault_tests():
