@@ -15,13 +15,17 @@ smallest position by position: partitions compared in rev-lex order, + before
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .labels import AltLabel, canonical_label, dagger_down_set, equivalent, in_dagger
+from .partitions import cached_upward
 
 
 class AltPath:
-    """A branching path: one label per level from 2 up to its endpoint."""
+    """A branching path: one label per level from 2 up to its endpoint.
+
+    The constructor and `parse` check every level and every link.  The paths
+    this module grows from checked links, in `extended`, `class_members` and
+    `geodesic_representatives`, are built by `_trusted`, which checks nothing.
+    """
 
     __slots__ = ("_labels",)
 
@@ -38,6 +42,13 @@ class AltPath:
             if not in_dagger(below, above):
                 raise ValueError(f"{below} does not branch from {above}")
         self._labels = path_labels
+
+    @classmethod
+    def _trusted(cls, path_labels: tuple[AltLabel, ...]) -> "AltPath":
+        """A path from a tuple of labels whose every link is known to branch."""
+        path = object.__new__(cls)
+        path._labels = path_labels
+        return path
 
     @classmethod
     def parse(cls, text: str) -> "AltPath":
@@ -60,9 +71,7 @@ class AltPath:
         """This path one level longer; only the new link is checked."""
         if not in_dagger(self.endpoint, label):
             raise ValueError(f"{self.endpoint} does not branch from {label}")
-        path = object.__new__(AltPath)
-        path._labels = self._labels + (label,)
-        return path
+        return AltPath._trusted(self._labels + (label,))
 
     def sort_key(self):
         return tuple(label.sort_key() for label in self._labels)
@@ -91,7 +100,7 @@ class AltPath:
         return [label.to_json() for label in self._labels]
 
 
-@lru_cache(maxsize=None)
+@cached_upward(dagger_down_set, 2)
 def enumerate_paths(label: AltLabel) -> tuple[AltPath, ...]:
     """All paths ending at exactly this label, sorted by label sequence."""
     if label.n == 2:
@@ -138,10 +147,10 @@ def class_members(path: AltPath) -> tuple[AltPath, ...]:
         if not label.is_signed():
             choices.append(AltLabel(label.partition.conjugate()))
         prefixes = [q + (c,) for q in prefixes for c in choices if not q or in_dagger(q[-1], c)]
-    return tuple(sorted(map(AltPath, prefixes), key=AltPath.sort_key))
+    return tuple(sorted(map(AltPath._trusted, prefixes), key=AltPath.sort_key))
 
 
-@lru_cache(maxsize=None)
+@cached_upward(dagger_down_set, 2)
 def geodesic_representatives(label: AltLabel) -> tuple[AltPath, ...]:
     """One path per equivalence class ending at this exact label.
 
@@ -151,10 +160,11 @@ def geodesic_representatives(label: AltLabel) -> tuple[AltPath, ...]:
     """
     if label.n == 2:
         return (AltPath((label,)),)
-    found = []
-    for below in dagger_down_set(label):
-        for shorter in geodesic_representatives(below):
-            found.append(shorter.extended(label))
+    found = [
+        AltPath._trusted(shorter.labels + (label,))
+        for below in dagger_down_set(label)
+        for shorter in geodesic_representatives(below)
+    ]
     found.sort(key=AltPath.sort_key)
     reps = {}
     for path in found:

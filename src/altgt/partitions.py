@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers."""
+    """A weakly decreasing tuple of positive integers.
 
-    __slots__ = ("_parts",)
+    Every partition, derived ones included, comes from the validating
+    constructor (or `parse`); none is trusted.  The size is stored, and
+    `conjugate` and `down_set` are cached per partition, so `covers` is a
+    set lookup.
+    """
+
+    __slots__ = ("_parts", "_n")
 
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)
@@ -20,6 +26,7 @@ class Partition:
         if parts[-1] < 1:
             raise ValueError(f"parts must be positive, got {parts}")
         self._parts = parts
+        self._n = sum(parts)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -37,7 +44,7 @@ class Partition:
 
     @property
     def n(self) -> int:
-        return sum(self._parts)
+        return self._n
 
     def __len__(self) -> int:
         return len(self._parts)
@@ -65,6 +72,7 @@ class Partition:
     def to_json(self) -> list[int]:
         return list(self._parts)
 
+    @lru_cache(maxsize=None)
     def conjugate(self) -> "Partition":
         cols = [sum(1 for p in self._parts if p > j) for j in range(self._parts[0])]
         return Partition(cols)
@@ -76,9 +84,10 @@ class Partition:
         """Number of diagonal cells: max i with lambda_i >= i (1-based)."""
         return sum(1 for i, p in enumerate(self._parts, start=1) if p >= i)
 
+    @lru_cache(maxsize=None)
     def down_set(self) -> tuple["Partition", ...]:
         """All partitions obtained by removing one removable corner cell."""
-        if self.n < 2:
+        if self._n < 2:
             raise ValueError(f"no partitions below {self}")
         out = []
         for i, p in enumerate(self._parts):
@@ -92,7 +101,7 @@ class Partition:
         return tuple(out)
 
     def covers(self, other: "Partition") -> bool:
-        return self.n >= 2 and other in self.down_set()
+        return self._n >= 2 and other in _down_members(self)
 
     def self_conjugate_cover_partner(self) -> tuple["Partition", str]:
         """The unique self-conjugate partition one diagonal cell away.
@@ -132,6 +141,58 @@ class Partition:
         """The rev-lex earlier of this partition and its conjugate."""
         conj = self.conjugate()
         return self if revlex_key(self) <= revlex_key(conj) else conj
+
+
+@lru_cache(maxsize=None)
+def _down_members(partition: Partition) -> frozenset[Partition]:
+    return frozenset(partition.down_set())
+
+
+def cached_upward(down, bottom: int):
+    """lru_cache for a recursion over a graded lattice, such as Young's,
+    whose value at a node is built from the values one level down.
+
+    `down(node)` lists the nodes one level down; nodes at level `bottom`
+    have none.  On a miss the nodes below are computed first, lowest level
+    first, so that no call recurses more than one level however tall the
+    lattice is.  The calls made while filling find their own lower levels
+    cached and skip the fill.
+    """
+
+    def decorate(step):
+        filling = False
+
+        @lru_cache(maxsize=None)
+        @wraps(step)
+        def cached(node):
+            nonlocal filling
+            if not filling and node.n > bottom:
+                filling = True
+                try:
+                    for below in _below_first(node, down, bottom):
+                        cached(below)
+                finally:
+                    filling = False
+            return step(node)
+
+        return cached
+
+    return decorate
+
+
+def _below_first(top, down, bottom: int) -> list:
+    """Every node strictly below `top`, level by level from the bottom up."""
+    levels = [[top]]
+    seen = {top}
+    while levels[-1][0].n > bottom:
+        nxt = []
+        for node in levels[-1]:
+            for below in down(node):
+                if below not in seen:
+                    seen.add(below)
+                    nxt.append(below)
+        levels.append(nxt)
+    return [node for level in reversed(levels[1:]) for node in level]
 
 
 def revlex_key(partition: Partition) -> tuple[int, ...]:

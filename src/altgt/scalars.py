@@ -366,6 +366,9 @@ def sqrt_rational(value) -> Scalar:
     return Scalar({q: GaussianRational(Fraction(g, b))})
 
 
+_I_POWERS = (ONE, I, -ONE, -I)
+
+
 def i_power(k: int) -> Scalar:
     """i**k for any integer k."""
-    return (ONE, I, -ONE, -I)[k % 4]
+    return _I_POWERS[k % 4]

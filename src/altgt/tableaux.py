@@ -10,18 +10,27 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition
+from .partitions import Partition, cached_upward
 
 
 class StandardTableau:
-    __slots__ = ("_rows", "_pos")
+    """A standard tableau, stored as its rows, its shape and the position of
+    each entry.
+
+    The constructor and `parse` check that the rows form a standard tableau.
+    `append_box`, `conjugate` and `swap_adjacent` derive a tableau from one
+    that is already valid, so they build it through `_trusted`, which skips
+    the checks.
+    """
+
+    __slots__ = ("_rows", "_pos", "_shape")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(e) for e in row) for row in rows)
         if not rows or any(not row for row in rows):
             raise ValueError("empty tableau rows are not allowed")
-        Partition(tuple(len(row) for row in rows))  # validates the shape
-        n = sum(len(row) for row in rows)
+        shape = Partition(tuple(len(row) for row in rows))  # validates the shape
+        n = shape.n
         pos: dict[int, tuple[int, int]] = {}
         for r, row in enumerate(rows):
             for c, entry in enumerate(row):
@@ -38,6 +47,17 @@ class StandardTableau:
                     raise ValueError(f"column {c + 1} is not increasing")
         self._rows = rows
         self._pos = pos
+        self._shape = shape
+
+    @classmethod
+    def _trusted(cls, rows, pos, shape: Partition) -> "StandardTableau":
+        """A tableau from rows (a tuple of int tuples) known to be standard,
+        with their entry positions and shape; nothing is checked."""
+        tableau = object.__new__(cls)
+        tableau._rows = rows
+        tableau._pos = pos
+        tableau._shape = shape
+        return tableau
 
     @classmethod
     def parse(cls, text: str) -> "StandardTableau":
@@ -65,7 +85,7 @@ class StandardTableau:
 
     @property
     def shape(self) -> Partition:
-        return Partition(tuple(len(row) for row in self._rows))
+        return self._shape
 
     def position(self, entry: int) -> tuple[int, int]:
         """0-based (row, column) of an entry."""
@@ -79,10 +99,12 @@ class StandardTableau:
         return tuple(e for row in self._rows for e in row)
 
     def conjugate(self) -> "StandardTableau":
-        cols = []
-        for c in range(len(self._rows[0])):
-            cols.append([row[c] for row in self._rows if c < len(row)])
-        return StandardTableau(cols)
+        cols = tuple(
+            tuple(row[c] for row in self._rows if c < len(row))
+            for c in range(len(self._rows[0]))
+        )
+        pos = {e: (c, r) for e, (r, c) in self._pos.items()}
+        return StandardTableau._trusted(cols, pos, self._shape.conjugate())
 
     def axial_distance(self, i: int) -> int:
         """(col - row) of entry i+1 minus (col - row) of entry i."""
@@ -99,7 +121,9 @@ class StandardTableau:
             raise ValueError(f"entries {i} and {i + 1} share a row or column")
         rows = [list(row) for row in self._rows]
         rows[r1][c1], rows[r2][c2] = i + 1, i
-        return StandardTableau(rows)
+        pos = dict(self._pos)
+        pos[i], pos[i + 1] = (r2, c2), (r1, c1)
+        return StandardTableau._trusted(tuple(map(tuple, rows)), pos, self._shape)
 
     def prefix_shape(self, k: int) -> Partition:
         """Shape of the boxes holding entries 1..k."""
@@ -143,42 +167,38 @@ def append_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:
     small = tableau.shape
     if not shape.covers(small):
         raise ValueError(f"shape {shape} does not cover {small}")
-    rows = [list(row) for row in tableau.rows]
+    rows = list(tableau.rows)
     n = shape.n
-    for r, length in enumerate(shape.parts):
-        have = len(rows[r]) if r < len(rows) else 0
-        if have < length:
-            if r < len(rows):
-                rows[r].append(n)
-            else:
-                rows.append([n])
-            break
-    return StandardTableau(rows)
+    r = next(r for r, length in enumerate(shape.parts) if r == len(rows) or len(rows[r]) < length)
+    if r == len(rows):
+        rows.append((n,))
+    else:
+        rows[r] += (n,)
+    pos = dict(tableau._pos)
+    pos[n] = (r, len(rows[r]) - 1)
+    return StandardTableau._trusted(tuple(rows), pos, shape)
 
 
-@lru_cache(maxsize=None)
+@cached_upward(Partition.down_set, 1)
 def enumerate_syt(shape: Partition) -> tuple[StandardTableau, ...]:
     """All standard tableaux of a shape, ordered by row word."""
     if shape.n == 1:
         return (StandardTableau([[1]]),)
-    found = []
-    for below in shape.down_set():
-        for small in enumerate_syt(below):
-            found.append(append_box(small, shape))
+    found = [
+        append_box(small, shape)
+        for below in shape.down_set()
+        for small in enumerate_syt(below)
+    ]
     found.sort(key=StandardTableau.row_word)
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
+@cached_upward(Partition.down_set, 1)
 def syt_count(shape: Partition) -> int:
     """Number of standard tableaux, by the covering recursion."""
     if shape.n == 1:
         return 1
-    # a plain loop keeps the recursion at one frame per level
-    total = 0
-    for below in shape.down_set():
-        total += syt_count(below)
-    return total
+    return sum(syt_count(below) for below in shape.down_set())
 
 
 def row_superstandard(shape: Partition) -> StandardTableau:

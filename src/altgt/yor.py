@@ -77,14 +77,21 @@ class GTVector:
             raise ValueError(f"mixed shapes {self._shape} and {other._shape}")
 
     def __add__(self, other: "GTVector") -> "GTVector":
+        return self._merged(other, negate=False)
+
+    def __sub__(self, other: "GTVector") -> "GTVector":
+        return self._merged(other, negate=True)
+
+    def _merged(self, other: "GTVector", negate: bool) -> "GTVector":
+        """self + other, or self - other when negate is set."""
         self._require_same_space(other)
         merged = dict(self._terms)
         for t, c in other._terms.items():
-            merged[t] = merged.get(t, ZERO) + c
+            if negate:
+                c = -c
+            cur = merged.get(t)
+            merged[t] = c if cur is None else cur + c
         return GTVector(self._shape, merged)
-
-    def __sub__(self, other: "GTVector") -> "GTVector":
-        return self + (-other)
 
     def __neg__(self) -> "GTVector":
         return GTVector(self._shape, {t: -c for t, c in self._terms.items()})

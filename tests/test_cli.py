@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,27 @@ def test_deep_labels(capsys):
     code, out, _ = run_cli(capsys, "gt", "400")
     assert code == 0
     assert out.startswith("u[2;3;4;") and out.count("\n") == 1
+
+
+def test_labels_deeper_than_the_recursion_limit(capsys):
+    # the caches fill from the bottom up, so depth costs no stack frames
+    code, out, err = run_cli(capsys, "syt", "1200")
+    assert (code, err) == (0, "")
+    assert out == " ".join(map(str, range(1, 1201))) + "\n"
+    code, out, err = run_cli(capsys, "paths", "1200")
+    assert (code, err) == (0, "")
+    assert out == ";".join(map(str, range(2, 1201))) + "\t2\n"
+
+
+GOLDEN_DIGESTS = json.loads(Path(__file__).with_name("golden_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
+def test_golden_output(capsys, command):
+    # sha256 of stdout, recorded before the Young-lattice caches went in
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]
 
 
 def test_yor_text(capsys):

@@ -163,3 +163,11 @@ def test_class_members_match_product_filter():
         for label in labels(n):
             for p in enumerate_paths(label):
                 assert list(class_members(p)) == brute_force_class_members(p)
+
+
+def test_class_members_match_validated_paths():
+    for n in range(2, 8):
+        for label in labels(n):
+            for p in geodesic_representatives(label):
+                for member in class_members(p):
+                    assert member == AltPath(member.labels)

@@ -7,7 +7,7 @@ from altgt.partitions import (
     revlex_key,
     self_conjugate_partitions,
 )
-from oracles import transpose_cells
+from oracles import brute_force_down_set, transpose_cells
 
 any_partition = st.integers(min_value=1, max_value=10).flatmap(
     lambda n: st.sampled_from(partitions_of(n))
@@ -66,6 +66,23 @@ def test_down_set():
 def test_covers():
     assert Partition((2, 2)).covers(Partition((2, 1)))
     assert not Partition((2, 2)).covers(Partition((2,)))
+
+
+def test_cached_down_set_matches_corner_removal():
+    for n in range(1, 11):
+        below = partitions_of(n - 1) if n > 1 else ()
+        for shape in partitions_of(n):
+            expected = brute_force_down_set(shape)
+            if n == 1:
+                with pytest.raises(ValueError):
+                    shape.down_set()
+            else:
+                assert set(shape.down_set()) == expected
+                assert len(shape.down_set()) == len(expected)
+            for small in below:
+                assert shape.covers(small) == (small in expected)
+            assert not shape.covers(shape)
+            assert shape.n == sum(shape.parts)
 
 
 def test_cover_partner_roles():

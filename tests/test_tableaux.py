@@ -167,6 +167,28 @@ def test_append_box():
         append_box(t, Partition((4, 1)))
 
 
+def assert_same_as_validated(t):
+    checked = StandardTableau(t.rows)
+    assert t == checked
+    assert t.shape == Partition(len(row) for row in t.rows) == checked.shape
+    assert [t.position(e) for e in range(1, t.n + 1)] == [
+        checked.position(e) for e in range(1, t.n + 1)
+    ]
+
+
+def test_derived_tableaux_match_validated_ones():
+    # enumerate_syt builds every tableau with append_box
+    for n in range(1, 8):
+        for shape in partitions_of(n):
+            for t in enumerate_syt(shape):
+                assert_same_as_validated(t)
+                assert_same_as_validated(t.conjugate())
+                for i in range(1, n):
+                    (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
+                    if r1 != r2 and c1 != c2:
+                        assert_same_as_validated(t.swap_adjacent(i))
+
+
 def test_conjugating_the_enumeration_is_a_bijection():
     for shape in partitions_of(6):
         conj = {t.conjugate() for t in enumerate_syt(shape)}

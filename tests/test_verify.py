@@ -191,3 +191,23 @@ def test_suites_clean_after_fault_tests():
     assert verify_yor(4).ok
     assert verify_associator(6).ok
     assert verify_gt(AltLabel.parse("2,1^+")).ok
+
+
+def test_warm_caches_do_not_hide_faults(monkeypatch):
+    # every cache these suites read is filled by the clean runs first
+    def outcomes():
+        return {
+            "assoc": verify_associator(6).ok,
+            "yor": verify_yor(5).ok,
+            "gt 3,2,1^+": verify_gt(AltLabel.parse("3,2,1^+")).ok,
+            "gt 4,2,1": verify_gt(AltLabel.parse("4,2,1")).ok,
+        }
+
+    assert all(outcomes().values())
+    with monkeypatch.context() as patch:
+        patch.setattr(associator, "assoc_coeff", unsigned_coeff)
+        assert outcomes() == {"assoc": False, "yor": True, "gt 3,2,1^+": False, "gt 4,2,1": False}
+    with monkeypatch.context() as patch:
+        patch.setattr(StandardTableau, "axial_distance", doubled_axial_distance)
+        assert not outcomes()["yor"]
+    assert all(outcomes().values())
