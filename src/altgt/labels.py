@@ -28,9 +28,13 @@ _SIGN_CHARS = {1: "+", -1: "-"}
 
 
 class AltLabel:
-    """A partition plus an optional sign; signed iff self-conjugate."""
+    """A partition plus an optional sign; signed iff self-conjugate.
 
-    __slots__ = ("_partition", "_sign")
+    The sort key (rev-lex partition, then + before -) is computed once here,
+    since paths are sorted by the keys of all their labels.
+    """
+
+    __slots__ = ("_partition", "_sign", "_sort_key")
 
     def __init__(self, partition: Partition, sign: int | None = None):
         if sign not in (None, 1, -1):
@@ -42,6 +46,7 @@ class AltLabel:
             raise ValueError(f"partition {partition} is not self-conjugate; no sign allowed")
         self._partition = partition
         self._sign = sign
+        self._sort_key = (revlex_key(partition), 0 if sign in (None, 1) else 1)
 
     @classmethod
     def parse(cls, text: str) -> "AltLabel":
@@ -50,6 +55,8 @@ class AltLabel:
                              "write signs as ^+ or ^-")
         head, sep, tail = text.partition("^")
         partition = Partition.parse(head)
+        if partition.n < 2:
+            raise ValueError(f"label {text!r} is at level {partition.n}; labels start at level 2")
         if not sep:
             return cls(partition)
         if tail == "+":
@@ -74,7 +81,7 @@ class AltLabel:
         return self._sign is not None
 
     def sort_key(self):
-        return (revlex_key(self._partition), 0 if self._sign in (None, 1) else 1)
+        return self._sort_key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltLabel):

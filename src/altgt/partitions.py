@@ -33,7 +33,7 @@ class Partition:
         tokens = [t.strip() for t in text.split(",")]
         parts = []
         for tok in tokens:
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise ValueError(f"invalid partition part {tok!r}")
             parts.append(int(tok))
         return cls(parts)

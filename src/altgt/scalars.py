@@ -9,9 +9,18 @@ and sqrt(1 - 1/r^2) for integer r, and basis-change coefficients are fourth
 roots of unity.  Equality is structural on canonical forms, so identities
 are checked exactly, never with tolerances.
 
-Canonical form: no zero coefficients are stored, and every radicand is
-squarefree.  Products of radicals reduce via gcd:
-sqrt(q1)*sqrt(q2) = g*sqrt(q1*q2/g^2) with g = gcd(q1, q2).
+Canonical form: no zero coefficients are stored, every radicand is
+squarefree, and the terms are kept in increasing radicand order.  Products
+of radicals reduce via gcd: sqrt(q1)*sqrt(q2) = g*sqrt(q1*q2/g^2) with
+g = gcd(q1, q2).
+
+Only the public entry points canonicalize: the ``Scalar`` and
+``GaussianRational`` constructors, ``Scalar.rational``, ``Scalar.gaussian``,
+``Scalar.from_json`` and ``sqrt_rational``.  Arithmetic needs no second
+pass, because canonical inputs give canonical outputs: q1*q2/g^2 is
+squarefree when q1 and q2 are, a product of nonzero terms is nonzero, and
+only a sum can cancel.  So ``+``, ``-``, ``*``, ``/`` and ``conjugate``
+build their results through the trusted ``_of`` constructors.
 """
 
 from __future__ import annotations
@@ -58,35 +67,45 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
+    @classmethod
+    def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        """Trusted constructor: ``re`` and ``im`` are already Fractions."""
+        self = object.__new__(cls)
+        self.re = re
+        self.im = im
+        return self
+
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational._of(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return GaussianRational._of(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._of(-self.re, -self.im)
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            return GaussianRational(
+            if not other.im:
+                return GaussianRational._of(self.re * other.re, self.im * other.re)
+            return GaussianRational._of(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
+            return GaussianRational._of(self.re * other, self.im * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._of(self.re, -self.im)
 
     def inverse(self) -> "GaussianRational":
         norm = self.re * self.re + self.im * self.im
         if norm == 0:
             raise ZeroDivisionError("inverse of zero")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return GaussianRational._of(self.re / norm, -self.im / norm)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -161,10 +180,15 @@ class Scalar:
                 g, reduced = split_square(q)
                 if g != 1:
                     coeff = coeff * g
-                clean[reduced] = clean.get(reduced, _GAUSS_ZERO) + coeff
-                if clean[reduced].is_zero():
-                    del clean[reduced]
-        self._terms = {q: clean[q] for q in sorted(clean)}
+                _accumulate(clean, reduced, coeff)
+        self._terms = _sorted(clean)
+
+    @classmethod
+    def _of(cls, terms: dict[int, GaussianRational]) -> "Scalar":
+        """Trusted constructor: ``terms`` is already canonical."""
+        self = object.__new__(cls)
+        self._terms = terms
+        return self
 
     @classmethod
     def rational(cls, value) -> "Scalar":
@@ -199,8 +223,8 @@ class Scalar:
             return NotImplemented
         merged = dict(self._terms)
         for q, c in other._terms.items():
-            merged[q] = merged.get(q, _GAUSS_ZERO) + c
-        return Scalar(merged)
+            _accumulate(merged, q, c)
+        return Scalar._of(_sorted(merged))
 
     __radd__ = __add__
 
@@ -217,7 +241,7 @@ class Scalar:
         return other - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar({q: -c for q, c in self._terms.items()})
+        return Scalar._of({q: -c for q, c in self._terms.items()})
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -226,10 +250,17 @@ class Scalar:
         out: dict[int, GaussianRational] = {}
         for q1, c1 in self._terms.items():
             for q2, c2 in other._terms.items():
-                g = math.gcd(q1, q2)
-                q = (q1 // g) * (q2 // g)
-                out[q] = out.get(q, _GAUSS_ZERO) + (c1 * c2) * g
-        return Scalar(out)
+                c = c1 * c2
+                if q1 == 1 or q2 == 1:
+                    q = q1 * q2
+                else:
+                    # q1*q2/g^2 is squarefree because q1 and q2 are
+                    g = math.gcd(q1, q2)
+                    q = (q1 // g) * (q2 // g)
+                    if g != 1:
+                        c = c * g
+                _accumulate(out, q, c)
+        return Scalar._of(_sorted(out))
 
     __rmul__ = __mul__
 
@@ -241,7 +272,7 @@ class Scalar:
             raise ValueError(f"only one-term values are invertible, got {self}")
         ((q, c),) = self._terms.items()
         # 1/(c*sqrt(q)) = (1/(c*q)) * sqrt(q)
-        return Scalar({q: c.inverse() * Fraction(1, q)})
+        return Scalar._of({q: c.inverse() * Fraction(1, q)})
 
     def __truediv__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -250,7 +281,7 @@ class Scalar:
         return self * other.inverse()
 
     def conjugate(self) -> "Scalar":
-        return Scalar({q: c.conjugate() for q, c in self._terms.items()})
+        return Scalar._of({q: c.conjugate() for q, c in self._terms.items()})
 
     def as_fourth_root(self):
         """Return 1, -1, 1j or -1j when the value is that root of unity, else None."""
@@ -336,6 +367,24 @@ class Scalar:
                 raise ValueError(f"duplicate radicand {q}")
             terms[q] = coeff
         return cls(terms)
+
+
+def _accumulate(terms: dict[int, GaussianRational], q: int, c: GaussianRational) -> None:
+    """Add the nonzero term c*sqrt(q) into terms, dropping q if the sum cancels."""
+    if q not in terms:
+        terms[q] = c
+        return
+    total = terms[q] + c
+    if total.re or total.im:
+        terms[q] = total
+    else:
+        del terms[q]
+
+
+def _sorted(terms: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
+    if len(terms) < 2:
+        return terms
+    return {q: terms[q] for q in sorted(terms)}
 
 
 def _coerce(value):

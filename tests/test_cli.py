@@ -28,6 +28,22 @@ def test_syt_bad_shape(capsys):
     assert err == "error: invalid partition part 'x'\n"
 
 
+@pytest.mark.parametrize("part", ["\uff13", "\u00b3", "\u0663"])
+def test_syt_rejects_non_ascii_digits(capsys, part):
+    # fullwidth three, superscript three, Arabic-Indic three
+    code, out, err = run_cli(capsys, "syt", part)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid partition part {part!r}\n"
+
+
+@pytest.mark.parametrize("command", ["gt", "paths"])
+@pytest.mark.parametrize("label", ["1", "1^+", "1^-"])
+def test_label_below_level_two(capsys, command, label):
+    code, out, err = run_cli(capsys, command, label)
+    assert (code, out) == (2, "")
+    assert err == f"error: label {label!r} is at level 1; labels start at level 2\n"
+
+
 def test_deep_labels(capsys):
     # 399 branching steps: each level of the walk costs one frame at most
     code, out, _ = run_cli(capsys, "paths", "400")
@@ -53,7 +69,7 @@ GOLDEN_DIGESTS = json.loads(Path(__file__).with_name("golden_digests.json").read
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
 def test_golden_output(capsys, command):
-    # sha256 of stdout, recorded before the Young-lattice caches went in
+    # sha256 of stdout, each recorded before a refactor of the layers it covers
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]

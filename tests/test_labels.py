@@ -15,7 +15,7 @@ from altgt.labels import (
     level_dimension_total,
     young_graph,
 )
-from altgt.partitions import Partition
+from altgt.partitions import Partition, revlex_key
 from altgt.tableaux import syt_count
 from oracles import brute_force_syt
 
@@ -40,6 +40,13 @@ def test_parse_and_render():
     for bad in ("2,1", "3,1^+", "2,1^x", "2,1^", "2,1⁺"):
         with pytest.raises(ValueError):
             lab(bad)
+
+
+def test_stored_sort_key_matches_formula():
+    for n in range(2, 10):
+        for label in labels(n):
+            sign_rank = 0 if label.sign in (None, 1) else 1
+            assert label.sort_key() == (revlex_key(label.partition), sign_rank)
 
 
 def test_json_form():

@@ -177,6 +177,66 @@ def test_json_round_trip_random(a):
     assert Scalar.from_json(a.to_json()) == a
 
 
+@st.composite
+def monomials(draw):
+    """A nonzero one-term value c*sqrt(q)."""
+    coeff = draw(st.tuples(fractions, fractions).filter(any))
+    return Scalar({draw(radicands): GaussianRational(*coeff)})
+
+
+def assert_canonical(x, reference):
+    """x has canonical terms equal to those of `reference`, a raw terms dict."""
+    terms = x.terms()
+    assert Scalar(dict(terms)).terms() == terms
+    radicands = [q for q, _ in terms]
+    assert radicands == sorted(set(radicands))
+    for q, c in terms:
+        assert split_square(q) == (1, q)
+        assert not c.is_zero()
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+    assert terms == Scalar(reference).terms()
+
+
+def raw_sum(*term_lists):
+    """Collect terms by radicand without reducing or dropping anything."""
+    out = {}
+    for terms in term_lists:
+        for q, c in terms:
+            out[q] = out.get(q, GaussianRational()) + c
+    return out
+
+
+def raw_product(a, b):
+    # radicands multiply unreduced; the public constructor reduces them
+    return raw_sum([(q1 * q2, c1 * c2) for q1, c1 in a.terms() for q2, c2 in b.terms()])
+
+
+def negated(a):
+    return [(q, GaussianRational(-c.re, -c.im)) for q, c in a.terms()]
+
+
+@given(scalars(), scalars(), monomials())
+def test_arithmetic_results_are_canonical(a, b, m):
+    assert_canonical(a + b, raw_sum(a.terms(), b.terms()))
+    assert_canonical(a - b, raw_sum(a.terms(), negated(b)))
+    assert_canonical(a * b, raw_product(a, b))
+    assert_canonical(-a, raw_sum(negated(a)))
+    assert_canonical(a.conjugate(), raw_sum([(q, GaussianRational(c.re, -c.im))
+                                             for q, c in a.terms()]))
+    ((q, c),) = m.terms()
+    norm = c.re * c.re + c.im * c.im
+    # 1/(c*sqrt(q)) = conj(c)/(|c|^2 * q) * sqrt(q)
+    inverse = Scalar({q: GaussianRational(c.re / (norm * q), -c.im / (norm * q))})
+    assert_canonical(a / m, raw_product(a, inverse))
+
+
+def test_cancelling_product():
+    got = (sqrt_rational(2) + sqrt_rational(3)) * (sqrt_rational(2) - sqrt_rational(3))
+    assert got == -1
+    assert got.terms() == ((1, GaussianRational(-1)),)
+    assert (sqrt_rational(2) - sqrt_rational(2)).terms() == ()
+
+
 @given(st.integers(min_value=0, max_value=400))
 def test_sqrt_squares_back(q):
     assert sqrt_rational(q) * sqrt_rational(q) == Scalar.rational(q)
