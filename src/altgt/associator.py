@@ -13,31 +13,25 @@ identity, and the map anticommutes with every adjacent transposition.
 
 from __future__ import annotations
 
-from .partitions import Partition
 from .scalars import Scalar, i_power
 from .tableaux import StandardTableau, permutation_sign
 from .yor import GTVector
 
 
-def assoc_coeff(shape: Partition, tableau: StandardTableau) -> Scalar:
+def assoc_coeff(tableau: StandardTableau) -> Scalar:
     """The fourth root of unity attached to one tableau."""
+    shape = tableau.shape
     if not shape.is_self_conjugate():
         raise ValueError(f"{shape} is not self-conjugate")
-    if tableau.shape != shape:
-        raise ValueError(f"tableau shape {tableau.shape} is not {shape}")
     n, d = shape.n, shape.diagonal_length()
     if (n - d) % 2:
         raise RuntimeError(f"n - d is odd for the self-conjugate shape {shape}")
     root = i_power((n - d) // 2)
-    sign = permutation_sign(shape, tableau)
+    sign = permutation_sign(tableau)
     return root if sign == 1 else -root
 
 
-def apply_phi(shape: Partition, vec: GTVector) -> GTVector:
+def apply_phi(vec: GTVector) -> GTVector:
     """Linear extension of v_T -> assoc_coeff(T) * v_{T transposed}."""
-    if vec.shape != shape:
-        raise ValueError(f"vector shape {vec.shape} is not {shape}")
-    out: dict[StandardTableau, Scalar] = {}
-    for tableau, coeff in vec.items():
-        out[tableau.conjugate()] = coeff * assoc_coeff(shape, tableau)
-    return GTVector(shape, out)
+    out = {t.conjugate(): c * assoc_coeff(t) for t, c in vec._terms.items()}
+    return GTVector._trusted(vec.shape, out)

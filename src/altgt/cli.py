@@ -1,13 +1,15 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on unusable input (a one-line diagnostic names the offending token).
+2 on unusable input (a one-line diagnostic names the offending token).  A
+reader that closes stdout early, as `head` does, ends the run with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .associator import assoc_coeff
@@ -79,7 +81,7 @@ def _cmd_assoc(args) -> int:
         raise ValueError(f"shape {shape} is not self-conjugate")
     rows = []
     for tableau in enumerate_syt(shape):
-        coeff = assoc_coeff(shape, tableau)
+        coeff = assoc_coeff(tableau)
         rows.append((tableau, coeff, tableau.conjugate()))
     if args.format == "json":
         payload = [
@@ -227,7 +229,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`altgt ... | head`); send the rest
+        # to devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -126,15 +126,6 @@ def class_signature(path: AltPath) -> tuple[AltLabel, ...]:
     return tuple(canonical_label(label) for label in path)
 
 
-def branch_count_r(path: AltPath) -> int:
-    """Number of signed-to-unsigned descents along the path."""
-    count = 0
-    for below, above in zip(path.labels, path.labels[1:]):
-        if below.is_signed() and not above.is_signed():
-            count += 1
-    return count
-
-
 def class_members(path: AltPath) -> tuple[AltPath, ...]:
     """The full equivalence class of a path, endpoints allowed to vary.
 

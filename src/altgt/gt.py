@@ -30,8 +30,8 @@ def embed(vec: GTVector, shape: Partition) -> GTVector:
     """Include a vector into a covering shape by adding the final box."""
     if not shape.covers(vec.shape):
         raise ValueError(f"shape {shape} does not cover {vec.shape}")
-    out = {append_box(t, shape): c for t, c in vec.items()}
-    return GTVector(shape, out)
+    out = {append_box(t, shape): c for t, c in vec._terms.items()}
+    return GTVector._trusted(shape, out)
 
 
 def restrict(vec: GTVector, shape: Partition) -> GTVector:
@@ -44,12 +44,12 @@ def restrict(vec: GTVector, shape: Partition) -> GTVector:
     if not vec.shape.covers(shape):
         raise ValueError(f"{shape} is not below {vec.shape}")
     out: dict[StandardTableau, Scalar] = {}
-    for tableau, coeff in vec.items():
+    for tableau, coeff in vec._terms.items():
         if tableau.prefix_shape(n - 1) != shape:
             continue
         rows = [[e for e in row if e != n] for row in tableau.rows]
         out[StandardTableau([row for row in rows if row])] = coeff
-    return GTVector(shape, out)
+    return GTVector._trusted(shape, out)
 
 
 _BASE_VECTORS = {
@@ -83,9 +83,9 @@ def gt_vectors(paths, normalize: bool = False) -> list[GTVector]:
             else:
                 vec = embed(stack[-1][1], head.partition)
                 if head.is_signed() and not stack[-1][0].is_signed():
-                    mirrored = apply_phi(head.partition, vec)
+                    mirrored = apply_phi(vec)
                     # the halves live over conjugate prefixes, so they cannot overlap
-                    if set(vec.support()) & set(mirrored.support()):
+                    if vec._terms.keys() & mirrored._terms.keys():
                         raise RuntimeError(f"the two halves of the vector for {path} overlap")
                     vec = vec + mirrored if head.sign == 1 else vec - mirrored
             stack.append((head, vec))

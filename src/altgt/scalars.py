@@ -157,6 +157,8 @@ class GaussianRational:
 
 _GAUSS_ZERO = GaussianRational(0, 0)
 _GAUSS_ONE = GaussianRational(1, 0)
+# Fractions hash and compare like ints, so (re, im) pairs look up directly
+_FOURTH_ROOTS = {(1, 0): complex(1), (-1, 0): complex(-1), (0, 1): 1j, (0, -1): -1j}
 
 
 class Scalar:
@@ -288,10 +290,7 @@ class Scalar:
         if len(self._terms) != 1 or 1 not in self._terms:
             return None
         c = self._terms[1]
-        for root in (complex(1), complex(-1), 1j, -1j):
-            if c.re == root.real and c.im == root.imag:
-                return root
-        return None
+        return _FOURTH_ROOTS.get((c.re, c.im))
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

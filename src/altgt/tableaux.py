@@ -224,11 +224,10 @@ def reference_tableau(shape: Partition) -> StandardTableau:
     return append_box(reference_tableau(partner), shape)
 
 
-def permutation_sign(shape: Partition, tableau: StandardTableau) -> int:
-    """Sign of the permutation sending the anchor filling to this one, cellwise."""
-    if tableau.shape != shape:
-        raise ValueError(f"tableau shape {tableau.shape} is not {shape}")
-    ref = reference_tableau(shape)
+def permutation_sign(tableau: StandardTableau) -> int:
+    """Sign of the permutation sending the anchor filling of the tableau's
+    shape to this one, cellwise."""
+    ref = reference_tableau(tableau.shape)
     mapping = {}
     for r, row in enumerate(ref.rows):
         for c, entry in enumerate(row):

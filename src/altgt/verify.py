@@ -91,7 +91,7 @@ def _yor_failure(shape: Partition) -> str | None:
     basis = enumerate_syt(shape)
     # columns[i][t] is the image of the basis vector of t under generator i
     columns = {
-        i: {t: yor.act_simple(shape, i, GTVector.basis(t)) for t in basis}
+        i: {t: yor.act_simple(i, GTVector.basis(t)) for t in basis}
         for i in range(1, n)
     }
     for i, column in columns.items():
@@ -101,18 +101,18 @@ def _yor_failure(shape: Partition) -> str | None:
                     return f"generator {i} is not real symmetric at entry ({u}, {t})"
     for i, column in columns.items():
         for t, image in column.items():
-            if yor.act_simple(shape, i, image) != GTVector.basis(t):
+            if yor.act_simple(i, image) != GTVector.basis(t):
                 return f"square of generator {i} is not the identity on {t}"
     for i in range(1, n - 1):
         for t in basis:
-            lhs = yor.act_word(shape, (i, i + 1), columns[i][t])
-            if lhs != yor.act_word(shape, (i + 1, i), columns[i + 1][t]):
+            lhs = yor.act_word((i, i + 1), columns[i][t])
+            if lhs != yor.act_word((i + 1, i), columns[i + 1][t]):
                 return f"braid at {i} fails on {t}"
     for i in range(1, n):
         for j in range(i + 2, n):
             for t in basis:
-                lhs = yor.act_simple(shape, i, columns[j][t])
-                if lhs != yor.act_simple(shape, j, columns[i][t]):
+                lhs = yor.act_simple(i, columns[j][t])
+                if lhs != yor.act_simple(j, columns[i][t]):
                     return f"commutation ({i},{j}) fails on {t}"
     return None
 
@@ -138,24 +138,24 @@ def _phi_failure(shape: Partition) -> str | None:
     the pairing and square checks already force the even eigenspace split.
     """
     images = {
-        t: associator.apply_phi(shape, GTVector.basis(t)) for t in enumerate_syt(shape)
+        t: associator.apply_phi(GTVector.basis(t)) for t in enumerate_syt(shape)
     }
     for t, image in images.items():
         if image.support() != (t.conjugate(),):
             return f"not a monomial pairing at {t}"
     for t, image in images.items():
-        if associator.apply_phi(shape, image) != GTVector.basis(t):
+        if associator.apply_phi(image) != GTVector.basis(t):
             return f"square is not the identity on {t}"
     for i in range(1, shape.n):
         for t, image in images.items():
             e = GTVector.basis(t)
-            one = yor.act_simple(shape, i, image)
-            other = associator.apply_phi(shape, yor.act_simple(shape, i, e))
+            one = yor.act_simple(i, image)
+            other = associator.apply_phi(yor.act_simple(i, e))
             if not (one + other).is_zero():
                 return f"generator {i} does not anticommute with phi on {t}"
     expected = FOURTH_ROOT_TABLE.get(str(shape))
     if expected is not None:
-        got = associator.assoc_coeff(shape, reference_tableau(shape))
+        got = associator.assoc_coeff(reference_tableau(shape))
         if got.as_fourth_root() != expected:
             return f"anchor coefficient {got}, expected {expected}"
     return None
@@ -180,8 +180,8 @@ def verify_associator(max_n: int) -> Report:
             failure = None
             for t in enumerate_syt(small):
                 lifted = embed(GTVector.basis(t), shape)
-                one = associator.apply_phi(shape, lifted)
-                other = embed(associator.apply_phi(small, GTVector.basis(t)), shape)
+                one = associator.apply_phi(lifted)
+                other = embed(associator.apply_phi(GTVector.basis(t)), shape)
                 if one != other:
                     failure = f"disagrees at {t}"
                     break
@@ -208,7 +208,7 @@ def _gt_failure(label: AltLabel) -> str | None:
     if label.is_signed():
         for p, v in zip(paths, vectors):
             expected = v if label.sign == 1 else -v
-            if associator.apply_phi(label.partition, v) != expected:
+            if associator.apply_phi(v) != expected:
                 return f"not a {label.sign:+d} eigenvector on {p}"
     for a in range(len(vectors)):
         for b in range(a + 1, len(vectors)):
@@ -242,7 +242,7 @@ def _gt_failure(label: AltLabel) -> str | None:
             if restrict(v, prev.partition) != shorter:
                 return f"{p} does not restrict to its truncation"
             carried = embed(shorter, head.partition)
-            mirrored = associator.apply_phi(head.partition, carried)
+            mirrored = associator.apply_phi(carried)
             rebuilt = carried + mirrored if head.sign == 1 else carried - mirrored
             if v != rebuilt:
                 return f"{p} is not the eigenspace completion"

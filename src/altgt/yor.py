@@ -12,6 +12,19 @@ acts on a basis vector v_T by:
 Maps are applied to vectors; rep_matrix is the one place a map becomes a
 matrix, a list of rows whose columns follow the enumeration order of the
 tableaux.
+
+Only the public entry points check their input: the ``GTVector``
+constructor, which checks every tableau's shape and drops zero
+coefficients, and ``GTVector.basis``.  Every other vector is built from
+trusted terms through ``GTVector._trusted``: no stored coefficient is zero
+and every tableau has the vector's shape.  Only ``act_simple`` and ``+``/``-``
+can send two terms to the same tableau; they add through ``_accumulate``,
+which drops a term whose sum cancels.  Negation, ``scale``, ``apply_phi``,
+``embed`` and ``restrict`` are injective on tableaux, and a product of
+nonzero exact scalars is nonzero, so they cannot create a zero.  Terms are
+kept in no order: the maps above read the ``_terms`` dict directly, and
+``items()`` lists the terms in row-word order, the order of
+``enumerate_syt``, for everything that prints a vector.
 """
 
 from __future__ import annotations
@@ -43,7 +56,16 @@ class GTVector:
                     continue
                 clean[tableau] = coeff
         self._shape = shape
-        self._terms = {t: clean[t] for t in sorted(clean, key=StandardTableau.row_word)}
+        self._terms = clean
+
+    @classmethod
+    def _trusted(cls, shape: Partition, terms: dict) -> "GTVector":
+        """A vector from terms (tableau -> Scalar) known to have nonzero
+        coefficients and tableaux of this shape; nothing is checked."""
+        vec = object.__new__(cls)
+        vec._shape = shape
+        vec._terms = terms
+        return vec
 
     @classmethod
     def basis(cls, tableau: StandardTableau) -> "GTVector":
@@ -51,20 +73,22 @@ class GTVector:
 
     @classmethod
     def zero(cls, shape: Partition) -> "GTVector":
-        return cls(shape)
+        return cls._trusted(shape, {})
 
     @property
     def shape(self) -> Partition:
         return self._shape
 
     def items(self) -> tuple[tuple[StandardTableau, Scalar], ...]:
-        return tuple(self._terms.items())
+        """The terms in row-word order, the order of enumerate_syt."""
+        terms = self._terms
+        return tuple((t, terms[t]) for t in sorted(terms, key=StandardTableau.row_word))
 
     def coefficient(self, tableau: StandardTableau) -> Scalar:
         return self._terms.get(tableau, ZERO)
 
     def support(self) -> tuple[StandardTableau, ...]:
-        return tuple(self._terms)
+        return tuple(t for t, _ in self.items())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -87,19 +111,18 @@ class GTVector:
         self._require_same_space(other)
         merged = dict(self._terms)
         for t, c in other._terms.items():
-            if negate:
-                c = -c
-            cur = merged.get(t)
-            merged[t] = c if cur is None else cur + c
-        return GTVector(self._shape, merged)
+            _accumulate(merged, t, -c if negate else c)
+        return GTVector._trusted(self._shape, merged)
 
     def __neg__(self) -> "GTVector":
-        return GTVector(self._shape, {t: -c for t, c in self._terms.items()})
+        return GTVector._trusted(self._shape, {t: -c for t, c in self._terms.items()})
 
     def scale(self, scalar) -> "GTVector":
         if not isinstance(scalar, Scalar):
             scalar = Scalar.rational(scalar)
-        return GTVector(self._shape, {t: scalar * c for t, c in self._terms.items()})
+        if scalar.is_zero():
+            return GTVector.zero(self._shape)
+        return GTVector._trusted(self._shape, {t: scalar * c for t, c in self._terms.items()})
 
     def inner(self, other: "GTVector") -> Scalar:
         """Hermitian inner product, conjugate-linear in this vector."""
@@ -119,16 +142,26 @@ class GTVector:
             return NotImplemented
         return self._shape == other._shape and self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash((self._shape, tuple(self._terms.items())))
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"({c})*v[{t}]" for t, c in self._terms.items())
+        return " + ".join(f"({c})*v[{t}]" for t, c in self.items())
 
     def __repr__(self) -> str:
-        return f"GTVector({self._shape!r}, {self._terms!r})"
+        return f"GTVector({self._shape!r}, {dict(self.items())!r})"
+
+
+def _accumulate(terms: dict, tableau: StandardTableau, coeff: Scalar) -> None:
+    """Add a nonzero coefficient at a tableau, dropping the term if it cancels."""
+    cur = terms.get(tableau)
+    if cur is None:
+        terms[tableau] = coeff
+        return
+    total = cur + coeff
+    if total.is_zero():
+        del terms[tableau]
+    else:
+        terms[tableau] = total
 
 
 @lru_cache(maxsize=None)
@@ -137,37 +170,30 @@ def _entries(r: int) -> tuple[Scalar, Scalar]:
     return Scalar.rational(Fraction(1, r)), sqrt_rational(Fraction(r * r - 1, r * r))
 
 
-def act_simple(shape: Partition, i: int, vec: GTVector) -> GTVector:
+def act_simple(i: int, vec: GTVector) -> GTVector:
     """Apply the adjacent transposition (i, i+1) to a vector."""
-    if vec.shape != shape:
-        raise ValueError(f"vector shape {vec.shape} is not {shape}")
-    n = shape.n
+    n = vec.shape.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
     out: dict[StandardTableau, Scalar] = {}
-
-    def add(tableau, coeff):
-        cur = out.get(tableau)
-        out[tableau] = coeff if cur is None else cur + coeff
-
-    for tableau, coeff in vec.items():
+    for tableau, coeff in vec._terms.items():
         r1, c1 = tableau.position(i)
         r2, c2 = tableau.position(i + 1)
         if r1 == r2:
-            add(tableau, coeff)
+            _accumulate(out, tableau, coeff)
         elif c1 == c2:
-            add(tableau, -coeff)
+            _accumulate(out, tableau, -coeff)
         else:
             diagonal, mixing = _entries(tableau.axial_distance(i))
-            add(tableau, coeff * diagonal)
-            add(tableau.swap_adjacent(i), coeff * mixing)
-    return GTVector(shape, out)
+            _accumulate(out, tableau, coeff * diagonal)
+            _accumulate(out, tableau.swap_adjacent(i), coeff * mixing)
+    return GTVector._trusted(vec.shape, out)
 
 
-def act_word(shape: Partition, word, vec: GTVector) -> GTVector:
+def act_word(word, vec: GTVector) -> GTVector:
     """Apply a product of adjacent transpositions; the last index acts first."""
     for i in reversed(tuple(word)):
-        vec = act_simple(shape, i, vec)
+        vec = act_simple(i, vec)
     return vec
 
 
@@ -178,7 +204,7 @@ def rep_matrix(shape: Partition, i: int) -> list[list[Scalar]]:
     dim = len(basis)
     mat = [[ZERO] * dim for _ in range(dim)]
     for col, tableau in enumerate(basis):
-        image = act_simple(shape, i, GTVector.basis(tableau))
+        image = act_simple(i, GTVector.basis(tableau))
         for t, c in image.items():
             mat[index[t]][col] = c
     return mat

@@ -87,3 +87,12 @@ def brute_force_class_members(path: AltPath) -> list[AltPath]:
         except ValueError:
             pass  # some link does not branch
     return sorted(members, key=AltPath.sort_key)
+
+
+def branch_count_r(path: AltPath) -> int:
+    """Number of signed-to-unsigned descents along the path."""
+    count = 0
+    for below, above in zip(path.labels, path.labels[1:]):
+        if below.is_signed() and not above.is_signed():
+            count += 1
+    return count

@@ -11,7 +11,6 @@ from altgt import associator, yor
 from altgt.associator import assoc_coeff
 from altgt.geodesics import (
     AltPath,
-    branch_count_r,
     class_members,
     class_signature,
     enumerate_paths,
@@ -24,7 +23,7 @@ from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, reference_tableau
 from altgt.verify import verify_associator, verify_gt, verify_gt_range, verify_yor
 from altgt.yor import GTVector
-from oracles import brute_force_syt
+from oracles import branch_count_r, brute_force_syt
 from test_verify import column_flip, unsigned_coeff
 
 
@@ -48,7 +47,7 @@ def test_criterion_1_factor_table():
     start = time.perf_counter()
     for shape_text, root in expected.items():
         shape = Partition.parse(shape_text)
-        coeff = assoc_coeff(shape, reference_tableau(shape))
+        coeff = assoc_coeff(reference_tableau(shape))
         assert coeff.as_fourth_root() == root, shape_text
     assert time.perf_counter() - start < 1.0
 

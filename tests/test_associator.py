@@ -10,37 +10,32 @@ from altgt.yor import GTVector, act_word
 
 def test_rejects_non_self_conjugate():
     with pytest.raises(ValueError):
-        assoc_coeff(Partition((3, 1)), StandardTableau.parse("124/3"))
-
-
-def test_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        assoc_coeff(Partition((2, 2)), StandardTableau.parse("12/3"))
+        assoc_coeff(StandardTableau.parse("124/3"))
 
 
 def test_coefficient_values():
     shape = Partition((3, 1, 1))
-    assert assoc_coeff(shape, StandardTableau.parse("123/4/5")) == -ONE
-    assert assoc_coeff(shape, StandardTableau.parse("124/3/5")) == ONE
-    assert assoc_coeff(Partition((2, 1)), StandardTableau.parse("12/3")) == I
+    assert assoc_coeff(StandardTableau.parse("123/4/5")) == -ONE
+    assert assoc_coeff(StandardTableau.parse("124/3/5")) == ONE
+    assert assoc_coeff(StandardTableau.parse("12/3")) == I
 
 
 def test_apply_phi_worked_values():
     shape = Partition((2, 1))
-    assert apply_phi(shape, GTVector.basis(StandardTableau.parse("12/3"))) == \
+    assert apply_phi(GTVector.basis(StandardTableau.parse("12/3"))) == \
         GTVector(shape, {StandardTableau.parse("13/2"): I})
     shape = Partition((3, 1, 1))
-    assert apply_phi(shape, GTVector.basis(StandardTableau.parse("124/3/5"))) == \
+    assert apply_phi(GTVector.basis(StandardTableau.parse("124/3/5"))) == \
         GTVector(shape, {StandardTableau.parse("135/2/4"): ONE})
-    assert apply_phi(shape, GTVector.basis(StandardTableau.parse("134/2/5"))) == \
+    assert apply_phi(GTVector.basis(StandardTableau.parse("134/2/5"))) == \
         GTVector(shape, {StandardTableau.parse("125/3/4"): -ONE})
 
 
 def test_phi_smallest_case():
     shape = Partition((2, 1))
     t1, t2 = enumerate_syt(shape)
-    assert apply_phi(shape, GTVector.basis(t1)) == GTVector(shape, {t2: I})
-    assert apply_phi(shape, GTVector.basis(t2)) == GTVector(shape, {t1: -I})
+    assert apply_phi(GTVector.basis(t1)) == GTVector(shape, {t2: I})
+    assert apply_phi(GTVector.basis(t2)) == GTVector(shape, {t1: -I})
 
 
 def test_phi_is_an_involution():
@@ -48,7 +43,7 @@ def test_phi_is_an_involution():
         for shape in self_conjugate_partitions(n):
             for t in enumerate_syt(shape):
                 v = GTVector.basis(t)
-                assert apply_phi(shape, apply_phi(shape, v)) == v
+                assert apply_phi(apply_phi(v)) == v
 
 
 def test_phi_anticommutes_with_generators():
@@ -57,8 +52,8 @@ def test_phi_anticommutes_with_generators():
             for t in enumerate_syt(shape):
                 v = GTVector.basis(t)
                 for i in range(1, n):
-                    one = act_word(shape, (i,), apply_phi(shape, v))
-                    other = apply_phi(shape, act_word(shape, (i,), v))
+                    one = act_word((i,), apply_phi(v))
+                    other = apply_phi(act_word((i,), v))
                     assert (one + other).is_zero()
 
 
@@ -70,7 +65,7 @@ def test_coefficient_alternates_on_swaps():
                 (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
                 if r1 == r2 or c1 == c2:
                     continue
-                assert assoc_coeff(shape, t.swap_adjacent(i)) == -assoc_coeff(shape, t)
+                assert assoc_coeff(t.swap_adjacent(i)) == -assoc_coeff(t)
 
 
 def test_anchor_coefficients_along_covers_agree():
@@ -83,8 +78,8 @@ def test_anchor_coefficients_along_covers_agree():
         (Partition((3, 3, 2)), Partition((3, 3, 3))),
     ]
     for small, large in pairs:
-        c_small = assoc_coeff(small, reference_tableau(small))
-        c_large = assoc_coeff(large, reference_tableau(large))
+        c_small = assoc_coeff(reference_tableau(small))
+        c_large = assoc_coeff(reference_tableau(large))
         assert c_small == c_large
 
 
@@ -99,7 +94,7 @@ def test_cover_compatibility_with_embedding():
     for small, large in pairs:
         for t in enumerate_syt(small):
             v = GTVector.basis(t)
-            assert apply_phi(large, embed(v, large)) == embed(apply_phi(small, v), large)
+            assert apply_phi(embed(v, large)) == embed(apply_phi(v), large)
 
 
 def test_eigenspace_split_is_balanced():
@@ -112,10 +107,10 @@ def test_eigenspace_split_is_balanced():
                 if t.row_word() > t.conjugate().row_word():
                     continue
                 v = GTVector.basis(t)
-                pair_plus = v + apply_phi(shape, v)
-                pair_minus = v - apply_phi(shape, v)
-                assert apply_phi(shape, pair_plus) == pair_plus
-                assert apply_phi(shape, pair_minus) == -pair_minus
+                pair_plus = v + apply_phi(v)
+                pair_minus = v - apply_phi(v)
+                assert apply_phi(pair_plus) == pair_plus
+                assert apply_phi(pair_minus) == -pair_minus
                 plus.append(pair_plus)
                 minus.append(pair_minus)
             dim = len(enumerate_syt(shape))

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,6 +267,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "yor", "--max-n", "4")
     assert code == 1
     assert "FAIL yor   shape 2,1" in out
+
+
+def test_closed_stdout_exits_cleanly():
+    # the output (about 110 kB) overflows the pipe buffer, so writing
+    # continues after the reader has closed its end
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "altgt.cli", "gt", "4,3,2,1^+"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"u[2;")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_argparse_errors(capsys):

@@ -2,7 +2,6 @@ import pytest
 
 from altgt.geodesics import (
     AltPath,
-    branch_count_r,
     class_members,
     class_signature,
     enumerate_paths,
@@ -10,7 +9,7 @@ from altgt.geodesics import (
     path_equivalent,
 )
 from altgt.labels import AltLabel, dim_alt, labels
-from oracles import brute_force_class_members
+from oracles import branch_count_r, brute_force_class_members
 
 
 def path(text):

@@ -109,7 +109,7 @@ def test_eigenvector_for_signed_labels():
     for text, sign in (("2;2,1^+", 1), ("2;2,1^-", -1), ("2;2,1^+;3,1;3,1,1^-", -1)):
         p = path(text)
         u = gt_vector(p)
-        mirrored = apply_phi(u.shape, u)
+        mirrored = apply_phi(u)
         assert mirrored == (u if sign == 1 else u.scale(-ONE))
 
 
@@ -163,6 +163,6 @@ def test_normalized_basis_is_orthonormal():
 def test_overlapping_halves_raise(monkeypatch):
     # an intertwiner that fixes the carried vector breaks the disjoint-support
     # invariant of the eigenspace completion
-    monkeypatch.setattr(gt, "apply_phi", lambda shape, vec: vec)
+    monkeypatch.setattr(gt, "apply_phi", lambda vec: vec)
     with pytest.raises(RuntimeError, match="overlap"):
         gt_vector(path("2;2,1^+"))

@@ -81,6 +81,12 @@ def test_fourth_root_detection():
     assert sqrt_rational(2).as_fourth_root() is None
     assert ZERO.as_fourth_root() is None
     assert (I * I).as_fourth_root() == -1
+    half = Fraction(1, 2)
+    assert Scalar.rational(half).as_fourth_root() is None
+    assert Scalar.gaussian(0, half).as_fourth_root() is None
+    assert Scalar.gaussian(1, 1).as_fourth_root() is None
+    assert Scalar.gaussian(-1, -1).as_fourth_root() is None
+    assert (ONE + sqrt_rational(2)).as_fourth_root() is None
 
 
 def test_i_power_cycle():

@@ -103,10 +103,9 @@ def test_reference_tableaux():
 
 
 def test_permutation_sign_examples():
-    shape = Partition((3, 1, 1))
-    assert permutation_sign(shape, StandardTableau.parse("123/4/5")) == 1
-    assert permutation_sign(shape, StandardTableau.parse("124/3/5")) == -1
-    assert permutation_sign(shape, StandardTableau.parse("134/2/5")) == 1
+    assert permutation_sign(StandardTableau.parse("123/4/5")) == 1
+    assert permutation_sign(StandardTableau.parse("124/3/5")) == -1
+    assert permutation_sign(StandardTableau.parse("134/2/5")) == 1
 
 
 def test_permutation_sign_matches_inversion_oracle():
@@ -117,7 +116,7 @@ def test_permutation_sign_matches_inversion_oracle():
             for r, row in enumerate(ref.rows):
                 for c, entry in enumerate(row):
                     mapping[entry] = t.rows[r][c]
-            assert permutation_sign(shape, t) == inversion_sign(mapping)
+            assert permutation_sign(t) == inversion_sign(mapping)
 
 
 def test_axial_distance():
@@ -210,4 +209,4 @@ def test_sign_alternates_on_swaps():
             (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
             if r1 == r2 or c1 == c2:
                 continue
-            assert permutation_sign(shape, t.swap_adjacent(i)) == -permutation_sign(shape, t)
+            assert permutation_sign(t.swap_adjacent(i)) == -permutation_sign(t)

@@ -82,28 +82,28 @@ def test_check_line_with_witness():
     assert report.lines()[-1] == "1 checks, 1 failures"
 
 
-def column_flip(shape, i, vec, _orig=yor.act_simple):
+def column_flip(i, vec, _orig=yor.act_simple):
     # drop the sign in the same-column case
-    out = GTVector.zero(shape)
+    out = GTVector.zero(vec.shape)
     for t, c in vec.items():
         r1, c1 = t.position(i)
         r2, c2 = t.position(i + 1)
-        image = _orig(shape, i, GTVector.basis(t))
+        image = _orig(i, GTVector.basis(t))
         if c1 == c2 and r1 != r2:
             image = image.scale(-ONE)
         out = out + image.scale(c)
     return out
 
 
-def unsigned_coeff(shape, tableau, _orig=associator.assoc_coeff):
+def unsigned_coeff(tableau, _orig=associator.assoc_coeff):
     # drop the permutation sign factor
-    c = _orig(shape, tableau)
-    return -c if permutation_sign(shape, tableau) == -1 else c
+    c = _orig(tableau)
+    return -c if permutation_sign(tableau) == -1 else c
 
 
-def rotated_coeff(shape, tableau, _orig=associator.assoc_coeff):
+def rotated_coeff(tableau, _orig=associator.assoc_coeff):
     # phi squares to -1 but still anticommutes with every generator
-    return _orig(shape, tableau) * I
+    return _orig(tableau) * I
 
 
 def doubled_axial_distance(self, i, _orig=StandardTableau.axial_distance):
@@ -111,14 +111,14 @@ def doubled_axial_distance(self, i, _orig=StandardTableau.axial_distance):
     return 2 * _orig(self, i)
 
 
-def skewed_mixing(shape, i, vec, _orig=yor.act_simple):
+def skewed_mixing(i, vec, _orig=yor.act_simple):
     # negate the off-diagonal term when i sits in a higher row than i+1
-    out = GTVector.zero(shape)
+    out = GTVector.zero(vec.shape)
     for t, c in vec.items():
-        image = _orig(shape, i, GTVector.basis(t))
+        image = _orig(i, GTVector.basis(t))
         (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
         if r1 < r2 and c1 != c2:
-            image = GTVector(shape, {u: a if u == t else -a for u, a in image.items()})
+            image = GTVector(vec.shape, {u: a if u == t else -a for u, a in image.items()})
         out = out + image.scale(c)
     return out
 
@@ -174,9 +174,9 @@ def test_fault_injection_class_members(monkeypatch):
     assert "not equivalent" in report.failures()[0].witness
 
 
-def negated_phi(shape, vec, _orig=associator.apply_phi):
+def negated_phi(vec, _orig=associator.apply_phi):
     # the completion w + e*phi(w) lands in the wrong eigenspace
-    return -_orig(shape, vec)
+    return -_orig(vec)
 
 
 def test_fault_injection_walk(monkeypatch):

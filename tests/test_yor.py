@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from altgt.associator import apply_phi
 from altgt.partitions import Partition, partitions_of
 from altgt.scalars import ONE, Scalar, sqrt_rational
 from altgt.tableaux import StandardTableau, enumerate_syt
 from altgt.yor import GTVector, act_simple, act_word, rep_matrix
-from altgt.gt import embed
+from altgt.gt import embed, restrict
 
 
 def vec(text):
@@ -29,6 +30,38 @@ def test_vector_shape_guard():
         GTVector.basis(t) + GTVector.basis(StandardTableau.parse("123"))
 
 
+def assert_trusted_form(w):
+    # what every library-built vector promises without a check: terms listed
+    # in enumerate_syt order, no zero coefficient, one shape throughout
+    listed = [t for t, _ in w.items()]
+    assert listed == [t for t in enumerate_syt(w.shape) if not w.coefficient(t).is_zero()]
+    assert all(not c.is_zero() for _, c in w.items())
+    assert all(t.shape == w.shape for t in listed)
+    assert w.support() == tuple(listed)
+
+
+def test_library_results_keep_the_trusted_form():
+    for n in range(2, 7):
+        for shape in partitions_of(n):
+            for t in enumerate_syt(shape):
+                v = GTVector.basis(t)
+                results = [-v, v.scale(0), v.scale(sqrt_rational(2))]
+                for i in range(1, n):
+                    image = act_simple(i, v)
+                    results += [image, image + v, image - v, act_simple(i, image + v)]
+                if shape.is_self_conjugate():
+                    mirrored = apply_phi(v)
+                    results += [mirrored, v + mirrored, mirrored - v, apply_phi(v - mirrored)]
+                mixed = v + act_simple(n - 1, v)
+                for w in (v, mixed):
+                    results += [embed(w, up) for up in partitions_of(n + 1) if up.covers(shape)]
+                    results += [restrict(w, below) for below in shape.down_set()]
+                for w in results:
+                    assert_trusted_form(w)
+                assert (v - v).is_zero() and (v - v).items() == ()
+                assert v.scale(0).is_zero()
+
+
 def test_inner_product_is_hermitian():
     from altgt.scalars import I
 
@@ -42,21 +75,20 @@ def test_inner_product_is_hermitian():
 
 def test_same_row_fixes():
     v = vec("123")
-    assert act_simple(Partition((3,)), 1, v) == v
-    assert act_simple(Partition((3,)), 2, v) == v
+    assert act_simple(1, v) == v
+    assert act_simple(2, v) == v
 
 
 def test_same_column_negates():
-    shape = Partition((1, 1, 1))
     v = GTVector.basis(StandardTableau.parse("1/2/3"))
-    assert act_simple(shape, 1, v) == -v
+    assert act_simple(1, v) == -v
 
 
 def test_mixing_case():
     shape = Partition((2, 1))
     t1 = StandardTableau.parse("12/3")
     t2 = StandardTableau.parse("13/2")
-    got = act_simple(shape, 2, GTVector.basis(t1))
+    got = act_simple(2, GTVector.basis(t1))
     expected = GTVector(
         shape,
         {
@@ -81,29 +113,27 @@ def test_rep_matrix_values():
 
 
 def test_act_word_order_and_identity():
-    shape = Partition((2, 1))
     v = GTVector.basis(StandardTableau.parse("12/3"))
-    assert act_word(shape, (), v) == v
-    assert act_word(shape, (1, 1), v) == v
+    assert act_word((), v) == v
+    assert act_word((1, 1), v) == v
     # rightmost acts first: word (2, 1) applies generator 1, then 2
-    step = act_simple(shape, 1, v)
-    assert act_word(shape, (2, 1), v) == act_simple(shape, 2, step)
+    step = act_simple(1, v)
+    assert act_word((2, 1), v) == act_simple(2, step)
 
 
 def test_braid_relation_on_vectors():
     shape = Partition((2, 1))
     for t in enumerate_syt(shape):
         v = GTVector.basis(t)
-        assert act_word(shape, (1, 2, 1), v) == act_word(shape, (2, 1, 2), v)
+        assert act_word((1, 2, 1), v) == act_word((2, 1, 2), v)
 
 
 def test_index_range_errors():
-    shape = Partition((2, 1))
     v = GTVector.basis(StandardTableau.parse("12/3"))
     with pytest.raises(ValueError):
-        act_simple(shape, 0, v)
+        act_simple(0, v)
     with pytest.raises(ValueError):
-        act_simple(shape, 3, v)
+        act_simple(3, v)
 
 
 def test_defining_identities_all_shapes():
@@ -114,15 +144,15 @@ def test_defining_identities_all_shapes():
             for t in enumerate_syt(shape):
                 v = GTVector.basis(t)
                 for i in range(1, n):
-                    assert act_word(shape, (i, i), v) == v
-                    for u, c in act_simple(shape, i, v).items():
+                    assert act_word((i, i), v) == v
+                    for u, c in act_simple(i, v).items():
                         assert c.conjugate() == c
-                        assert act_simple(shape, i, GTVector.basis(u)).coefficient(t) == c
+                        assert act_simple(i, GTVector.basis(u)).coefficient(t) == c
                 for i in range(1, n - 1):
-                    assert act_word(shape, (i, i + 1, i), v) == act_word(shape, (i + 1, i, i + 1), v)
+                    assert act_word((i, i + 1, i), v) == act_word((i + 1, i, i + 1), v)
                 for i in range(1, n):
                     for j in range(i + 2, n):
-                        assert act_word(shape, (i, j), v) == act_word(shape, (j, i), v)
+                        assert act_word((i, j), v) == act_word((j, i), v)
 
 
 def test_identities_against_sympy():
@@ -166,7 +196,7 @@ def test_restriction_commutes_with_action():
                 for t in enumerate_syt(below):
                     v = GTVector.basis(t)
                     for i in range(1, n - 1):
-                        lifted = act_simple(shape, i, embed(v, shape))
-                        pushed = embed(act_simple(below, i, v), shape)
+                        lifted = act_simple(i, embed(v, shape))
+                        pushed = embed(act_simple(i, v), shape)
                         assert lifted == pushed
 
