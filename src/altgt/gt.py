@@ -21,8 +21,8 @@ from .associator import apply_phi
 from .geodesics import AltPath, geodesic_representatives
 from .labels import AltLabel, dim_alt
 from .partitions import Partition
-from .scalars import Scalar, sqrt_rational
-from .tableaux import StandardTableau, append_box
+from .scalars import sqrt_rational
+from .tableaux import StandardTableau, append_box, cover_row, remove_box
 from .yor import GTVector
 
 
@@ -43,12 +43,12 @@ def restrict(vec: GTVector, shape: Partition) -> GTVector:
     n = vec.shape.n
     if not vec.shape.covers(shape):
         raise ValueError(f"{shape} is not below {vec.shape}")
-    out: dict[StandardTableau, Scalar] = {}
-    for tableau, coeff in vec._terms.items():
-        if tableau.prefix_shape(n - 1) != shape:
-            continue
-        rows = [[e for e in row if e != n] for row in tableau.rows]
-        out[StandardTableau([row for row in rows if row])] = coeff
+    row = cover_row(vec.shape, shape)
+    out = {
+        remove_box(tableau, shape): coeff
+        for tableau, coeff in vec._terms.items()
+        if tableau.position(n)[0] == row
+    }
     return GTVector._trusted(shape, out)
 
 

@@ -1,9 +1,10 @@
 """Standard Young tableaux and the cell bookkeeping the representations need.
 
-A standard tableau on n boxes is stored as its rows; entries are the numbers
-1..n, increasing along rows and down columns.  The text form joins rows with
-"/" and, when n > 9, separates entries inside a row with spaces: "124/3/5",
-"1 2 10/3 11/...".
+A standard tableau on n boxes is a path up Young's graph, and it is stored
+as one: the row that each entry 1..n joins (its Yamanouchi word).  Rows,
+row word, positions and prefix shapes are read off that word.  The text
+form joins rows with "/" and, when n > 9, separates entries inside a row
+with spaces: "124/3/5", "1 2 10/3 11/...".
 """
 
 from __future__ import annotations
@@ -14,16 +15,16 @@ from .partitions import Partition, cached_upward
 
 
 class StandardTableau:
-    """A standard tableau, stored as its rows, its shape and the position of
-    each entry.
+    """A standard tableau, stored as its shape and the row of each entry:
+    item k - 1 of the word is the 0-based row holding entry k.
 
     The constructor and `parse` check that the rows form a standard tableau.
-    `append_box`, `conjugate` and `swap_adjacent` derive a tableau from one
-    that is already valid, so they build it through `_trusted`, which skips
-    the checks.
+    `append_box`, `remove_box`, `conjugate` and `swap_adjacent` derive a
+    tableau from one that is already valid, so they build it through
+    `_trusted`, which skips the checks.
     """
 
-    __slots__ = ("_rows", "_pos", "_shape")
+    __slots__ = ("_word", "_shape")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(e) for e in row) for row in rows)
@@ -31,13 +32,13 @@ class StandardTableau:
             raise ValueError("empty tableau rows are not allowed")
         shape = Partition(tuple(len(row) for row in rows))  # validates the shape
         n = shape.n
-        pos: dict[int, tuple[int, int]] = {}
+        row_of: dict[int, int] = {}
         for r, row in enumerate(rows):
-            for c, entry in enumerate(row):
-                if entry in pos:
+            for entry in row:
+                if entry in row_of:
                     raise ValueError(f"duplicate entry {entry}")
-                pos[entry] = (r, c)
-        if set(pos) != set(range(1, n + 1)):
+                row_of[entry] = r
+        if set(row_of) != set(range(1, n + 1)):
             raise ValueError(f"entries must be exactly 1..{n}")
         for r, row in enumerate(rows):
             for c in range(len(row)):
@@ -45,17 +46,15 @@ class StandardTableau:
                     raise ValueError(f"row {r + 1} is not increasing")
                 if r + 1 < len(rows) and c < len(rows[r + 1]) and row[c] > rows[r + 1][c]:
                     raise ValueError(f"column {c + 1} is not increasing")
-        self._rows = rows
-        self._pos = pos
+        self._word = tuple(row_of[e] for e in range(1, n + 1))
         self._shape = shape
 
     @classmethod
-    def _trusted(cls, rows, pos, shape: Partition) -> "StandardTableau":
-        """A tableau from rows (a tuple of int tuples) known to be standard,
-        with their entry positions and shape; nothing is checked."""
+    def _trusted(cls, word: tuple[int, ...], shape: Partition) -> "StandardTableau":
+        """A tableau from the row of each entry, known to describe a standard
+        tableau of this shape; nothing is checked."""
         tableau = object.__new__(cls)
-        tableau._rows = rows
-        tableau._pos = pos
+        tableau._word = word
         tableau._shape = shape
         return tableau
 
@@ -77,11 +76,14 @@ class StandardTableau:
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
+        rows: list[list[int]] = [[] for _ in self._shape.parts]
+        for entry, r in enumerate(self._word, 1):
+            rows[r].append(entry)
+        return tuple(map(tuple, rows))
 
     @property
     def n(self) -> int:
-        return len(self._pos)
+        return len(self._word)
 
     @property
     def shape(self) -> Partition:
@@ -89,94 +91,88 @@ class StandardTableau:
 
     def position(self, entry: int) -> tuple[int, int]:
         """0-based (row, column) of an entry."""
-        try:
-            return self._pos[entry]
-        except KeyError:
-            raise ValueError(f"no entry {entry} in this tableau") from None
+        if not 1 <= entry <= len(self._word):
+            raise ValueError(f"no entry {entry} in this tableau")
+        r = self._word[entry - 1]
+        return r, self._word[: entry - 1].count(r)
 
     def row_word(self) -> tuple[int, ...]:
-        """Rows concatenated top to bottom; the enumeration sort key."""
-        return tuple(e for row in self._rows for e in row)
+        """Rows concatenated top to bottom; the enumeration sort key.  A stable
+        sort of the entries by row keeps each row increasing."""
+        word = self._word
+        return tuple(sorted(range(1, len(word) + 1), key=lambda k: word[k - 1]))
 
     def conjugate(self) -> "StandardTableau":
-        cols = tuple(
-            tuple(row[c] for row in self._rows if c < len(row))
-            for c in range(len(self._rows[0]))
-        )
-        pos = {e: (c, r) for e, (r, c) in self._pos.items()}
-        return StandardTableau._trusted(cols, pos, self._shape.conjugate())
+        """The transpose: each entry moves to the row numbered by its column."""
+        filled = [0] * len(self._shape.parts)
+        cols = []
+        for r in self._word:
+            cols.append(filled[r])
+            filled[r] += 1
+        return StandardTableau._trusted(tuple(cols), self._shape.conjugate())
 
     def axial_distance(self, i: int) -> int:
         """(col - row) of entry i+1 minus (col - row) of entry i."""
-        self._check_index(i)
-        r1, c1 = self._pos[i]
-        r2, c2 = self._pos[i + 1]
+        (r1, c1), (r2, c2) = self.position(i), self.position(i + 1)
         return (c2 - r2) - (c1 - r1)
 
     def swap_adjacent(self, i: int) -> "StandardTableau":
-        """Exchange entries i and i+1; they must share no row or column."""
-        self._check_index(i)
-        (r1, c1), (r2, c2) = self._pos[i], self._pos[i + 1]
-        if r1 == r2 or c1 == c2:
-            raise ValueError(f"entries {i} and {i + 1} share a row or column")
-        rows = [list(row) for row in self._rows]
-        rows[r1][c1], rows[r2][c2] = i + 1, i
-        pos = dict(self._pos)
-        pos[i], pos[i + 1] = (r2, c2), (r1, c1)
-        return StandardTableau._trusted(tuple(map(tuple, rows)), pos, self._shape)
+        """Exchange entries i and i+1, for 1 <= i < n, which the caller has
+        checked share no row or column."""
+        word = self._word
+        return StandardTableau._trusted(
+            word[: i - 1] + (word[i], word[i - 1]) + word[i + 1:], self._shape
+        )
 
     def prefix_shape(self, k: int) -> Partition:
         """Shape of the boxes holding entries 1..k."""
         if not 1 <= k <= self.n:
             raise ValueError(f"prefix size {k} out of range 1..{self.n}")
-        lengths = [sum(1 for e in row if e <= k) for row in self._rows]
-        return Partition([ln for ln in lengths if ln > 0])
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"index {i} out of range 1..{self.n - 1}")
+        prefix = self._word[:k]
+        return Partition(prefix.count(r) for r in range(max(prefix) + 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StandardTableau):
             return NotImplemented
-        return self._rows == other._rows
+        return self._word == other._word
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._word)
 
     def __str__(self) -> str:
-        if self.n > 9:
-            return "/".join(" ".join(str(e) for e in row) for row in self._rows)
-        return "/".join("".join(str(e) for e in row) for row in self._rows)
+        sep = " " if self.n > 9 else ""
+        return "/".join(sep.join(str(e) for e in row) for row in self.rows)
 
     def __repr__(self) -> str:
         return f"StandardTableau.parse({str(self)!r})"
 
     def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self._rows]
+        return [list(row) for row in self.rows]
 
     def latex(self) -> str:
         """Subscript form used in basis-vector notation: rows joined by commas."""
-        if self.n > 9:
-            return ",".join("\\,".join(str(e) for e in row) for row in self._rows)
-        return ",".join("".join(str(e) for e in row) for row in self._rows)
+        sep = "\\," if self.n > 9 else ""
+        return ",".join(sep.join(str(e) for e in row) for row in self.rows)
+
+
+def cover_row(shape: Partition, smaller: Partition) -> int:
+    """The 0-based row of the box that a shape has and a partition it covers
+    lacks."""
+    small = smaller.parts
+    return next(r for r, length in enumerate(shape.parts) if r == len(small) or small[r] < length)
 
 
 def append_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:
-    """Extend a tableau on n-1 boxes to the given shape by placing box n."""
-    small = tableau.shape
-    if not shape.covers(small):
-        raise ValueError(f"shape {shape} does not cover {small}")
-    rows = list(tableau.rows)
-    n = shape.n
-    r = next(r for r, length in enumerate(shape.parts) if r == len(rows) or len(rows[r]) < length)
-    if r == len(rows):
-        rows.append((n,))
-    else:
-        rows[r] += (n,)
-    pos = dict(tableau._pos)
-    pos[n] = (r, len(rows[r]) - 1)
-    return StandardTableau._trusted(tuple(rows), pos, shape)
+    """Extend a tableau on n-1 boxes to a shape covering its own by placing
+    box n; the caller has checked the cover."""
+    row = cover_row(shape, tableau.shape)
+    return StandardTableau._trusted(tableau._word + (row,), shape)
+
+
+def remove_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:
+    """Delete box n from a tableau whose first n-1 entries fill the given
+    shape; the caller has checked that they do."""
+    return StandardTableau._trusted(tableau._word[:-1], shape)
 
 
 @cached_upward(Partition.down_set, 1)
@@ -203,11 +199,8 @@ def syt_count(shape: Partition) -> int:
 
 def row_superstandard(shape: Partition) -> StandardTableau:
     """Entries 1..n filled row by row, left to right."""
-    rows, nxt = [], 1
-    for length in shape.parts:
-        rows.append(range(nxt, nxt + length))
-        nxt += length
-    return StandardTableau(rows)
+    word = tuple(r for r, length in enumerate(shape.parts) for _ in range(length))
+    return StandardTableau._trusted(word, shape)
 
 
 @lru_cache(maxsize=None)
@@ -227,11 +220,8 @@ def reference_tableau(shape: Partition) -> StandardTableau:
 def permutation_sign(tableau: StandardTableau) -> int:
     """Sign of the permutation sending the anchor filling of the tableau's
     shape to this one, cellwise."""
-    ref = reference_tableau(tableau.shape)
-    mapping = {}
-    for r, row in enumerate(ref.rows):
-        for c, entry in enumerate(row):
-            mapping[entry] = tableau.rows[r][c]
+    # the two row words list the same cells in the same order
+    mapping = dict(zip(reference_tableau(tableau.shape).row_word(), tableau.row_word()))
     sign, seen = 1, set()
     for start in mapping:
         if start in seen:

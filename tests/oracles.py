@@ -96,3 +96,16 @@ def branch_count_r(path: AltPath) -> int:
         if below.is_signed() and not above.is_signed():
             count += 1
     return count
+
+
+def tableau_facts_from_rows(rows) -> tuple[tuple[int, ...], list, list]:
+    """A tableau's row word, the (row, column) of each entry 1..n and the
+    shape of the entries 1..k for each k = 1..n, read off its rows."""
+    row_word = tuple(e for row in rows for e in row)
+    cells = {e: (r, c) for r, row in enumerate(rows) for c, e in enumerate(row)}
+    positions = [cells[e] for e in range(1, len(row_word) + 1)]
+    prefix_shapes = []
+    for k in range(1, len(row_word) + 1):
+        lengths = [sum(1 for e in row if e <= k) for row in rows]
+        prefix_shapes.append(Partition([ln for ln in lengths if ln]))
+    return row_word, positions, prefix_shapes
