@@ -21,7 +21,6 @@ from .tableaux import enumerate_syt
 from .verify import Report, verify_associator, verify_gt_range, verify_yor
 from .yor import rep_matrix
 
-_ROOT_TEXT = {complex(1): "1", complex(-1): "-1", 1j: "i", -1j: "-i"}
 _ROOT_LATEX = {complex(1): "", complex(-1): "-", 1j: "i ", -1j: "-i "}
 
 
@@ -37,13 +36,6 @@ def _matrix_text(mat) -> str:
 def _matrix_latex(mat) -> str:
     body = " \\\\\n".join(" & ".join(x.latex() for x in row) for row in mat)
     return f"\\begin{{pmatrix}}\n{body}\n\\end{{pmatrix}}"
-
-
-def _coeff_text(scalar) -> str:
-    root = scalar.as_fourth_root()
-    if root is not None:
-        return _ROOT_TEXT[root]
-    return str(scalar)
 
 
 def _cmd_syt(args) -> int:
@@ -95,9 +87,9 @@ def _cmd_assoc(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         width = max(len(str(t)) for t, _, _ in rows)
-        cwidth = max(len(_coeff_text(c)) for _, c, _ in rows)
+        cwidth = max(len(str(c)) for _, c, _ in rows)
         for t, c, tc in rows:
-            print(f"{str(t):{width}s}  {_coeff_text(c):{cwidth}s}  {tc}")
+            print(f"{str(t):{width}s}  {str(c):{cwidth}s}  {tc}")
     return 0
 
 
@@ -148,7 +140,7 @@ def _cmd_gt(args) -> int:
             print(f"u_{{{subscript}}} = {' + '.join(terms)}")
     else:
         for path, vector in basis:
-            terms = " + ".join(f"({_coeff_text(c)})*v[{t}]" for t, c in vector.items())
+            terms = " + ".join(f"({c})*v[{t}]" for t, c in vector.items())
             print(f"u[{path}] = {terms}")
     return 0
 

@@ -22,7 +22,7 @@ from .geodesics import AltPath, geodesic_representatives
 from .labels import AltLabel, dim_alt
 from .partitions import Partition
 from .scalars import sqrt_rational
-from .tableaux import StandardTableau, append_box, cover_row, remove_box
+from .tableaux import append_box, enumerate_syt, remove_box
 from .yor import GTVector
 
 
@@ -43,19 +43,13 @@ def restrict(vec: GTVector, shape: Partition) -> GTVector:
     n = vec.shape.n
     if not vec.shape.covers(shape):
         raise ValueError(f"{shape} is not below {vec.shape}")
-    row = cover_row(vec.shape, shape)
+    row = vec.shape.cover_row(shape)
     out = {
         remove_box(tableau, shape): coeff
         for tableau, coeff in vec._terms.items()
         if tableau.position(n)[0] == row
     }
     return GTVector._trusted(shape, out)
-
-
-_BASE_VECTORS = {
-    (2,): StandardTableau([[1, 2]]),
-    (1, 1): StandardTableau([[1], [2]]),
-}
 
 
 def gt_vector(path: AltPath, normalize: bool = False) -> GTVector:
@@ -79,7 +73,7 @@ def gt_vectors(paths, normalize: bool = False) -> list[GTVector]:
         del stack[keep:]
         for head in labels[keep:]:
             if not stack:
-                vec = GTVector.basis(_BASE_VECTORS[head.partition.parts])
+                vec = GTVector.basis(enumerate_syt(head.partition)[0])
             else:
                 vec = embed(stack[-1][1], head.partition)
                 if head.is_signed() and not stack[-1][0].is_signed():

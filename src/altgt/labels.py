@@ -139,17 +139,13 @@ def equivalent(a: AltLabel, b: AltLabel) -> bool:
 
 
 def in_dagger(below: AltLabel, above: AltLabel) -> bool:
-    """Whether `below` (at n-1) appears under `above` (at n) in branching."""
+    """Whether `below` (at n-1) appears under `above` (at n) in branching:
+    membership in `dagger_down_set(above)`, so for n >= 3 only."""
     if above.n != below.n + 1:
         raise ValueError(
             f"levels must be consecutive, got {below.n} under {above.n}"
         )
-    if not above.partition.covers(below.partition):
-        return False
-    if above.is_signed() and below.is_signed():
-        return above.sign == below.sign
-    # mixed signed/unsigned pairs need containment only
-    return True
+    return below in _dagger_members(above)
 
 
 @lru_cache(maxsize=None)
@@ -169,6 +165,11 @@ def dagger_down_set(label: AltLabel) -> tuple[AltLabel, ...]:
             out.append(AltLabel(below))
     out.sort(key=AltLabel.sort_key)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _dagger_members(label: AltLabel) -> frozenset[AltLabel]:
+    return frozenset(dagger_down_set(label))
 
 
 def dim_alt(label: AltLabel) -> int:
@@ -241,7 +242,6 @@ def bratteli(max_n: int) -> BranchingGraph:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     levels = []
     colors: dict[tuple[int, str], str] = {}
-    canon_at: dict[int, list[AltLabel]] = {}
     for n in range(2, max_n + 1):
         nodes = []
         for label in labels(n):
@@ -251,7 +251,6 @@ def bratteli(max_n: int) -> BranchingGraph:
                     colors[(n, str(label))] = "red"
                 elif label.sign == -1:
                     colors[(n, str(label))] = "green"
-        canon_at[n] = nodes
         levels.append((n, tuple(str(lb) for lb in nodes)))
     edges = []
     seen = set()

@@ -10,8 +10,10 @@ class Partition:
 
     Every partition, derived ones included, comes from the validating
     constructor (or `parse`); none is trusted.  The size is stored, and
-    `conjugate` and `down_set` are cached per partition, so `covers` is a
-    set lookup.
+    `conjugate` and the corner map are cached per partition.  The corner
+    map sends each partition one box below to the row of the removed
+    corner; `down_set` lists its keys, `covers` is a membership test in it
+    and `cover_row` a lookup.
     """
 
     __slots__ = ("_parts", "_n")
@@ -85,23 +87,36 @@ class Partition:
         return sum(1 for i, p in enumerate(self._parts, start=1) if p >= i)
 
     @lru_cache(maxsize=None)
+    def _corners(self) -> dict["Partition", int]:
+        """Each partition one box below, mapped to the 0-based row of the
+        removed corner, top row first; empty for the single box."""
+        corners = {}
+        if self._n < 2:
+            return corners
+        parts = self._parts
+        for i, p in enumerate(parts):
+            last_in_run = i + 1 == len(parts) or parts[i + 1] < p
+            if not last_in_run:
+                continue
+            if p == 1:
+                corners[Partition(parts[:i])] = i
+            else:
+                corners[Partition(parts[:i] + (p - 1,) + parts[i + 1:])] = i
+        return corners
+
     def down_set(self) -> tuple["Partition", ...]:
         """All partitions obtained by removing one removable corner cell."""
         if self._n < 2:
             raise ValueError(f"no partitions below {self}")
-        out = []
-        for i, p in enumerate(self._parts):
-            last_in_run = i + 1 == len(self._parts) or self._parts[i + 1] < p
-            if not last_in_run:
-                continue
-            if p == 1:
-                out.append(Partition(self._parts[:i]))
-            else:
-                out.append(Partition(self._parts[:i] + (p - 1,) + self._parts[i + 1:]))
-        return tuple(out)
+        return tuple(self._corners())
 
     def covers(self, other: "Partition") -> bool:
-        return self._n >= 2 and other in _down_members(self)
+        return other in self._corners()
+
+    def cover_row(self, smaller: "Partition") -> int:
+        """The 0-based row of the box that this partition has and a
+        partition it covers lacks."""
+        return self._corners()[smaller]
 
     def self_conjugate_cover_partner(self) -> tuple["Partition", str]:
         """The unique self-conjugate partition one diagonal cell away.
@@ -115,20 +130,12 @@ class Partition:
             raise ValueError(f"{self} is not self-conjugate")
         if self._parts == (1,):
             return Partition((2, 1)), "smaller"
+        # removing the diagonal corner is the only removal that keeps the
+        # partition self-conjugate
+        for below in self.down_set():
+            if below.is_self_conjugate():
+                return below, "larger"
         d = self.diagonal_length()
-        # the diagonal corner (d, d) is removable iff row d has length d
-        # and is the last row of its length
-        i = d - 1
-        removable = (
-            self._parts[i] == d
-            and (i + 1 == len(self._parts) or self._parts[i + 1] < d)
-        )
-        if removable:
-            parts = list(self._parts)
-            parts[i] -= 1
-            if parts[i] == 0:
-                parts.pop(i)
-            return Partition(parts), "larger"
         # add the cell (d+1, d+1)
         parts = list(self._parts)
         if len(parts) == d:
@@ -141,11 +148,6 @@ class Partition:
         """The rev-lex earlier of this partition and its conjugate."""
         conj = self.conjugate()
         return self if revlex_key(self) <= revlex_key(conj) else conj
-
-
-@lru_cache(maxsize=None)
-def _down_members(partition: Partition) -> frozenset[Partition]:
-    return frozenset(partition.down_set())
 
 
 def cached_upward(down, bottom: int):

@@ -2,7 +2,9 @@
 
 A standard tableau on n boxes is a path up Young's graph, and it is stored
 as one: the row that each entry 1..n joins (its Yamanouchi word).  Rows,
-row word, positions and prefix shapes are read off that word.  The text
+row word, positions and prefix shapes are read off that word, and so is the
+sign of a tableau against the anchor of its shape.  Adding box n reads its
+row from the shape's corner map (`Partition.cover_row`).  The text
 form joins rows with "/" and, when n > 9, separates entries inside a row
 with spaces: "124/3/5", "1 2 10/3 11/...".
 """
@@ -10,6 +12,7 @@ with spaces: "124/3/5", "1 2 10/3 11/...".
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .partitions import Partition, cached_upward
 
@@ -155,17 +158,10 @@ class StandardTableau:
         return ",".join(sep.join(str(e) for e in row) for row in self.rows)
 
 
-def cover_row(shape: Partition, smaller: Partition) -> int:
-    """The 0-based row of the box that a shape has and a partition it covers
-    lacks."""
-    small = smaller.parts
-    return next(r for r, length in enumerate(shape.parts) if r == len(small) or small[r] < length)
-
-
 def append_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:
     """Extend a tableau on n-1 boxes to a shape covering its own by placing
     box n; the caller has checked the cover."""
-    row = cover_row(shape, tableau.shape)
+    row = shape.cover_row(tableau.shape)
     return StandardTableau._trusted(tableau._word + (row,), shape)
 
 
@@ -219,18 +215,15 @@ def reference_tableau(shape: Partition) -> StandardTableau:
 
 def permutation_sign(tableau: StandardTableau) -> int:
     """Sign of the permutation sending the anchor filling of the tableau's
-    shape to this one, cellwise."""
-    # the two row words list the same cells in the same order
-    mapping = dict(zip(reference_tableau(tableau.shape).row_word(), tableau.row_word()))
-    sign, seen = 1, set()
-    for start in mapping:
-        if start in seen:
-            continue
-        length, cur = 0, start
-        while cur not in seen:
-            seen.add(cur)
-            cur = mapping[cur]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    shape to this one, cellwise.
+
+    Both row words list the same cells in the same order, so the cellwise
+    permutation is one row word composed with the inverse of the other, and
+    its sign is the product of their signs.  A row word, read as a
+    permutation, has the parity of inv(T), the number of pairs of entries
+    j < k with j in a later row than k.  So the sign is
+    (-1)^(inv(T) + inv(anchor)).
+    """
+    words = (tableau._word, reference_tableau(tableau.shape)._word)
+    inversions = sum(a > b for word in words for a, b in combinations(word, 2))
+    return -1 if inversions % 2 else 1

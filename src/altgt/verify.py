@@ -8,7 +8,7 @@ collects every counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import associator, yor
 from .geodesics import AltPath, class_members, geodesic_representatives, path_equivalent
@@ -33,12 +33,7 @@ class Check:
         return text
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "subject": self.subject,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _check(suite: str, subject: str, failure: str | None) -> Check:
@@ -220,12 +215,13 @@ def _gt_failure(label: AltLabel) -> str | None:
     # root of unity
     for p, base in zip(paths, vectors):
         mates = [m for m in class_members(p) if m.endpoint == label]
+        support = base._terms.keys()
+        t0 = base.support()[0]
         for mate, other in zip(mates, gt_vectors(mates)):
             if not path_equivalent(p, mate):
                 return f"class of {p}: member {mate} is not equivalent"
-            if set(other.support()) != set(base.support()):
+            if other._terms.keys() != support:
                 return f"class of {p} has mismatched supports"
-            t0 = base.support()[0]
             ratio = other.coefficient(t0) / base.coefficient(t0)
             if ratio.as_fourth_root() is None:
                 return f"class of {p}: ratio {ratio} is not a unit"

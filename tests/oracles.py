@@ -58,19 +58,25 @@ def transpose_cells(shape: Partition) -> Partition:
     return Partition([rows[r] for r in sorted(rows)])
 
 
-def brute_force_down_set(shape: Partition) -> set[Partition]:
-    """Partitions one box below, by deleting each cell of the raw cell set
-    that has no cell to its right or below it."""
+def brute_force_cover_rows(shape: Partition) -> dict[Partition, int]:
+    """Each partition one box below, mapped to the row of the deleted cell,
+    by deleting each cell of the raw cell set that has no cell to its right
+    or below it."""
     cells = {(r, c) for r, p in enumerate(shape.parts) for c in range(p)}
-    found = set()
+    found = {}
     for r, c in cells:
         if (r + 1, c) in cells or (r, c + 1) in cells:
             continue
         rest = cells - {(r, c)}
         if rest:
             lengths = [sum(1 for rr, _ in rest if rr == row) for row in range(len(shape.parts))]
-            found.add(Partition([ln for ln in lengths if ln]))
+            found[Partition([ln for ln in lengths if ln])] = r
     return found
+
+
+def brute_force_down_set(shape: Partition) -> set[Partition]:
+    """Partitions one box below, by corner-cell deletion."""
+    return set(brute_force_cover_rows(shape))
 
 
 def brute_force_class_members(path: AltPath) -> list[AltPath]:

@@ -91,6 +91,14 @@ def test_in_dagger_matches_down_sets():
                 assert in_dagger(below, above) == (below in downs)
 
 
+def test_in_dagger_rejects_levels_without_branching():
+    with pytest.raises(ValueError):
+        in_dagger(lab("2"), lab("3,1,1^+"))
+    # like dagger_down_set, branching starts at level 3
+    with pytest.raises(ValueError):
+        in_dagger(AltLabel(Partition((1,)), 1), lab("2"))
+
+
 def test_dagger_signed_keeps_sign():
     for n in range(3, 9):
         for above in labels(n):

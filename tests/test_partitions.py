@@ -7,7 +7,7 @@ from altgt.partitions import (
     revlex_key,
     self_conjugate_partitions,
 )
-from oracles import brute_force_down_set, transpose_cells
+from oracles import brute_force_cover_rows, brute_force_down_set, transpose_cells
 
 any_partition = st.integers(min_value=1, max_value=10).flatmap(
     lambda n: st.sampled_from(partitions_of(n))
@@ -79,6 +79,8 @@ def test_cached_down_set_matches_corner_removal():
             else:
                 assert set(shape.down_set()) == expected
                 assert len(shape.down_set()) == len(expected)
+                rows = brute_force_cover_rows(shape)
+                assert {small: shape.cover_row(small) for small in shape.down_set()} == rows
             for small in below:
                 assert shape.covers(small) == (small in expected)
             assert not shape.covers(shape)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from altgt.partitions import Partition, partitions_of
+from altgt.partitions import Partition, partitions_of, self_conjugate_partitions
 from altgt.tableaux import (
     StandardTableau,
     append_box,
@@ -110,7 +110,9 @@ def test_permutation_sign_examples():
 
 
 def test_permutation_sign_matches_inversion_oracle():
-    for shape in (Partition((3, 1, 1)), Partition((3, 2, 1)), Partition((2, 2))):
+    shapes = [shape for n in range(1, 10) for shape in self_conjugate_partitions(n)]
+    assert len(shapes) == 10
+    for shape in shapes:
         ref = reference_tableau(shape)
         for t in enumerate_syt(shape):
             mapping = {}
