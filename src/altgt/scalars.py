@@ -2,7 +2,7 @@
 
 A value is a finite sum  sum_q  c_q * sqrt(q)  where q runs over squarefree
 positive integers (q = 1 is the rational part) and each c_q is a Gaussian
-rational a + b*i with a, b exact fractions.  This set is closed under
+rational (a + b*i)/d with integers a, b, d.  This set is closed under
 addition, multiplication and complex conjugation, and it contains everything
 needed here: orthogonal-representation matrix entries are of the form 1/r
 and sqrt(1 - 1/r^2) for integer r, and basis-change coefficients are fourth
@@ -10,17 +10,19 @@ roots of unity.  Equality is structural on canonical forms, so identities
 are checked exactly, never with tolerances.
 
 Canonical form: no zero coefficients are stored, every radicand is
-squarefree, and the terms are kept in increasing radicand order.  Products
+squarefree, the terms are kept in increasing radicand order, and each
+coefficient is a reduced triple: d > 0 and gcd(a, b, d) = 1.  Products
 of radicals reduce via gcd: sqrt(q1)*sqrt(q2) = g*sqrt(q1*q2/g^2) with
 g = gcd(q1, q2).
 
 Only the public entry points canonicalize: the ``Scalar`` and
 ``GaussianRational`` constructors, ``Scalar.rational``, ``Scalar.gaussian``,
-``Scalar.from_json`` and ``sqrt_rational``.  Arithmetic needs no second
-pass, because canonical inputs give canonical outputs: q1*q2/g^2 is
-squarefree when q1 and q2 are, a product of nonzero terms is nonzero, and
-only a sum can cancel.  So ``+``, ``-``, ``*``, ``/`` and ``conjugate``
-build their results through the trusted ``_of`` constructors.
+``Scalar.from_json`` and ``sqrt_rational``; they refuse floats.  Arithmetic
+needs no second pass, because canonical inputs give canonical outputs:
+q1*q2/g^2 is squarefree when q1 and q2 are, a product of nonzero terms is
+nonzero, and only a sum can cancel.  So ``+``, ``-``, ``*``, ``/`` and
+``conjugate`` build their results through the trusted ``_of`` constructors;
+a coefficient that may need reducing goes through ``_norm``, one gcd.
 """
 
 from __future__ import annotations
@@ -56,82 +58,86 @@ def _fraction_str(f: Fraction) -> str:
 
 
 class GaussianRational:
-    """A complex number re + im*i with exact rational parts.
+    """A complex number (a + b*i)/d, stored as the ints a, b, d with d > 0
+    and gcd(a, b, d) = 1; ``re`` and ``im`` give its parts as Fractions.
 
     Instances are immutable by convention; arithmetic returns new objects.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __new__(cls, re=0, im=0):
+        re, im = _exact(re), _exact(im)
+        return _norm(re.numerator * im.denominator, im.numerator * re.denominator,
+                     re.denominator * im.denominator)
 
-    @classmethod
-    def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        """Trusted constructor: ``re`` and ``im`` are already Fractions."""
-        self = object.__new__(cls)
-        self.re = re
-        self.im = im
-        return self
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational._of(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _norm(self._a + other._a, self._b + other._b, d)
+        return _norm(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational._of(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational._of(-self.re, -self.im)
+        return _of(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            if not other.im:
-                return GaussianRational._of(self.re * other.re, self.im * other.re)
-            return GaussianRational._of(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            a, b, c, e = self._a, self._b, other._a, other._b
+            return _norm(a * c - b * e, a * e + b * c, self._d * other._d)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational._of(self.re * other, self.im * other)
+            n, m = other.numerator, other.denominator
+            return _norm(self._a * n, self._b * n, self._d * m)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational._of(self.re, -self.im)
+        return _of(self._a, -self._b, self._d)
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
+        # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        if not (a or b):
             raise ZeroDivisionError("inverse of zero")
-        return GaussianRational._of(self.re / norm, -self.im / norm)
+        return _norm(d * a, -d * b, a * a + b * b)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
         # a real value equals its Fraction (through Scalar), so hash like it
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        return hash(self.re) if not self._b else hash((self._a, self._b, self._d))
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return _fraction_str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return _fraction_str(re)
+        if im == 1:
             im_part = "i"
-        elif self.im == -1:
+        elif im == -1:
             im_part = "-i"
         else:
-            im_part = f"{_fraction_str(self.im)}*i"
-        if self.re == 0:
+            im_part = f"{_fraction_str(im)}*i"
+        if re == 0:
             return im_part
         joiner = "+" if not im_part.startswith("-") else ""
-        return f"{_fraction_str(self.re)}{joiner}{im_part}"
+        return f"{_fraction_str(re)}{joiner}{im_part}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -146,18 +152,38 @@ class GaussianRational:
                 body = f"\\frac{{{f.numerator}}}{{{f.denominator}}}{unit}"
             return sign + body
 
-        if self.im == 0:
-            return frac(self.re)
-        im_part = frac(self.im, "i")
-        if self.re == 0:
+        re, im = self.re, self.im
+        if im == 0:
+            return frac(re)
+        im_part = frac(im, "i")
+        if re == 0:
             return im_part
         joiner = "" if im_part.startswith("-") else "+"
-        return f"{frac(self.re)}{joiner}{im_part}"
+        return f"{frac(re)}{joiner}{im_part}"
+
+
+def _exact(value) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError(f"expected an exact rational, got the float {value!r}")
+    return Fraction(value)
+
+
+def _of(a: int, b: int, d: int) -> GaussianRational:
+    """Trusted constructor: (a, b, d) is already reduced with d > 0."""
+    self = object.__new__(GaussianRational)
+    self._a, self._b, self._d = a, b, d
+    return self
+
+
+def _norm(a: int, b: int, d: int) -> GaussianRational:
+    """Trusted constructor of (a + b*i)/d for d > 0: divides out gcd(a, b, d)."""
+    g = math.gcd(a, b, d)
+    return _of(a, b, d) if g == 1 else _of(a // g, b // g, d // g)
 
 
 _GAUSS_ZERO = GaussianRational(0, 0)
 _GAUSS_ONE = GaussianRational(1, 0)
-# Fractions hash and compare like ints, so (re, im) pairs look up directly
+# the fourth roots of unity, keyed by (a, b) of their triples (a, b, 1)
 _FOURTH_ROOTS = {(1, 0): complex(1), (-1, 0): complex(-1), (0, 1): 1j, (0, -1): -1j}
 
 
@@ -210,7 +236,7 @@ class Scalar:
         return bool(self._terms)
 
     def is_rational(self) -> bool:
-        return all(q == 1 and c.im == 0 for q, c in self._terms.items())
+        return all(q == 1 and not c._b for q, c in self._terms.items())
 
     def as_rational(self) -> Fraction:
         if self.is_zero():
@@ -237,10 +263,7 @@ class Scalar:
         return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __neg__(self) -> "Scalar":
         return Scalar._of({q: -c for q, c in self._terms.items()})
@@ -290,7 +313,7 @@ class Scalar:
         if len(self._terms) != 1 or 1 not in self._terms:
             return None
         c = self._terms[1]
-        return _FOURTH_ROOTS.get((c.re, c.im))
+        return _FOURTH_ROOTS.get((c._a, c._b)) if c._d == 1 else None
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -359,9 +382,13 @@ class Scalar:
         terms: dict[int, GaussianRational] = {}
         for entry in data:
             q = entry["radicand"]
-            if not isinstance(q, int) or q < 1:
+            if type(q) is not int or q < 1:
                 raise ValueError(f"invalid radicand {q!r}")
-            coeff = GaussianRational(Fraction(entry.get("re", 0)), Fraction(entry.get("im", 0)))
+            parts = entry.get("re", 0), entry.get("im", 0)
+            for part in parts:
+                if isinstance(part, float):
+                    raise ValueError(f"inexact coefficient {part!r}: floats are refused")
+            coeff = GaussianRational(*parts)
             if q in terms:
                 raise ValueError(f"duplicate radicand {q}")
             terms[q] = coeff
@@ -374,7 +401,7 @@ def _accumulate(terms: dict[int, GaussianRational], q: int, c: GaussianRational)
         terms[q] = c
         return
     total = terms[q] + c
-    if total.re or total.im:
+    if total._a or total._b:
         terms[q] = total
     else:
         del terms[q]
@@ -403,7 +430,7 @@ I = Scalar.gaussian(0, 1)
 
 def sqrt_rational(value) -> Scalar:
     """Exact square root of a nonnegative rational, e.g. 3/4 -> (1/2)*sqrt(3)."""
-    value = Fraction(value)
+    value = _exact(value)
     if value < 0:
         raise ValueError(f"square root of negative rational {value}")
     if value == 0:
@@ -411,7 +438,7 @@ def sqrt_rational(value) -> Scalar:
     a, b = value.numerator, value.denominator
     # sqrt(a/b) = sqrt(a*b)/b
     g, q = split_square(a * b)
-    return Scalar({q: GaussianRational(Fraction(g, b))})
+    return Scalar({q: _norm(g, 0, b)})
 
 
 _I_POWERS = (ONE, I, -ONE, -I)

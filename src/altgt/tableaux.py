@@ -224,6 +224,14 @@ def permutation_sign(tableau: StandardTableau) -> int:
     j < k with j in a later row than k.  So the sign is
     (-1)^(inv(T) + inv(anchor)).
     """
-    words = (tableau._word, reference_tableau(tableau.shape)._word)
-    inversions = sum(a > b for word in words for a, b in combinations(word, 2))
+    inversions = _inversions(tableau._word) + _anchor_inversions(tableau.shape)
     return -1 if inversions % 2 else 1
+
+
+def _inversions(word: tuple[int, ...]) -> int:
+    return sum(a > b for a, b in combinations(word, 2))
+
+
+@lru_cache(maxsize=None)
+def _anchor_inversions(shape: Partition) -> int:
+    return _inversions(reference_tableau(shape)._word)

@@ -212,7 +212,7 @@ def _gt_failure(label: AltLabel) -> str | None:
     if label.n < 3:
         return None
     # equivalent paths ending here must give the same vector up to a fourth
-    # root of unity
+    # root of unity; base's coefficients are units, so conjugating inverts
     for p, base in zip(paths, vectors):
         mates = [m for m in class_members(p) if m.endpoint == label]
         support = base._terms.keys()
@@ -222,7 +222,7 @@ def _gt_failure(label: AltLabel) -> str | None:
                 return f"class of {p}: member {mate} is not equivalent"
             if other._terms.keys() != support:
                 return f"class of {p} has mismatched supports"
-            ratio = other.coefficient(t0) / base.coefficient(t0)
+            ratio = other.coefficient(t0) * base.coefficient(t0).conjugate()
             if ratio.as_fourth_root() is None:
                 return f"class of {p}: ratio {ratio} is not a unit"
             if other != base.scale(ratio):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,38 @@ def test_json_rejects_bad_radicand():
                           {"radicand": 2, "re": "1", "im": "0"}])
 
 
+@given(fractions, fractions)
+def test_gaussian_rational_round_trip(re, im):
+    c = GaussianRational(re, im)
+    assert c.re == re and c.im == im
+    assert c == GaussianRational(str(re), str(im))
+    assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
+    assert hash(GaussianRational(re)) == hash(re)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GaussianRational(0.5),
+    lambda: GaussianRational(1, 0.25),
+    lambda: Scalar.rational(0.1),
+    lambda: Scalar.gaussian(0, 0.5),
+    lambda: Scalar({2: 0.5}),
+    lambda: sqrt_rational(0.5),
+])
+def test_constructors_refuse_floats(build):
+    with pytest.raises(TypeError, match=r"float 0\.\d+"):
+        build()
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ({"radicand": 1, "re": 0.1}, "0.1"),
+    ({"radicand": 2, "re": "1", "im": -0.5}, "-0.5"),
+    ({"radicand": True, "re": "1", "im": "0"}, "True"),
+])
+def test_json_refuses_floats_and_bool_radicands(entry, bad):
+    with pytest.raises(ValueError, match=bad):
+        Scalar.from_json([entry])
+
+
 def test_constructor_reduces_radicands():
     assert Scalar({12: GaussianRational(1)}) == Scalar({3: GaussianRational(2)})
     assert Scalar({4: GaussianRational(1)}) == Scalar.rational(2)
@@ -200,6 +233,9 @@ def assert_canonical(x, reference):
         assert split_square(q) == (1, q)
         assert not c.is_zero()
         assert type(c.re) is Fraction and type(c.im) is Fraction
+        # the stored triple (a, b, d) is reduced: d > 0 and gcd(a, b, d) = 1
+        assert all(type(x) is int for x in (c._a, c._b, c._d))
+        assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
     assert terms == Scalar(reference).terms()
 
 
