@@ -13,7 +13,7 @@ import os
 import sys
 
 from .associator import assoc_coeff
-from .geodesics import class_members, geodesic_representatives
+from .geodesics import class_size, geodesic_representatives
 from .gt import gt_basis
 from .labels import AltLabel, bratteli, young_graph
 from .partitions import Partition
@@ -105,7 +105,7 @@ def _cmd_bratteli(args) -> int:
 def _cmd_paths(args) -> int:
     label = AltLabel.parse(args.label)
     for path in geodesic_representatives(label):
-        print(f"{path}\t{len(class_members(path))}")
+        print(f"{path}\t{class_size(path)}")
     return 0
 
 

@@ -4,7 +4,8 @@ A path records the labels at levels 2..n that an irreducible representation
 passes through under successive restriction.  Two paths are equivalent when
 they are componentwise equivalent (equal or conjugate at every level); an
 equivalence class has exactly 2^(r+1) members, where r counts the descents
-from a signed label to an unsigned one along the path.
+from a signed label to an unsigned one along the path.  `class_members` lists
+them; `class_size` counts them from r alone.
 
 Each class contributes one basis vector, so picking one representative per
 class ending at a given label enumerates a basis.  The representative is the
@@ -139,6 +140,21 @@ def class_members(path: AltPath) -> tuple[AltPath, ...]:
             choices.append(AltLabel(label.partition.conjugate()))
         prefixes = [q + (c,) for q in prefixes for c in choices if not q or in_dagger(q[-1], c)]
     return tuple(sorted(map(AltPath._trusted, prefixes), key=AltPath.sort_key))
+
+
+def class_size(path: AltPath) -> int:
+    """The number of members of the path's class, 2^(r+1), without listing them.
+
+    The path splits into r + 1 maximal runs of unsigned labels, one from
+    level 2 and one after each signed-to-unsigned descent.  A member
+    conjugates each run as a whole or not at all, independently of the
+    others, and keeps every signed label.
+    """
+    r = sum(
+        below.is_signed() and not above.is_signed()
+        for below, above in zip(path.labels, path.labels[1:])
+    )
+    return 2 ** (r + 1)
 
 
 @cached_upward(dagger_down_set, 2)

@@ -31,10 +31,11 @@ class AltLabel:
     """A partition plus an optional sign; signed iff self-conjugate.
 
     The sort key (rev-lex partition, then + before -) is computed once here,
-    since paths are sorted by the keys of all their labels.
+    since paths are sorted by the keys of all their labels, and so is the
+    hash, which class signatures and the label-keyed caches take.
     """
 
-    __slots__ = ("_partition", "_sign", "_sort_key")
+    __slots__ = ("_partition", "_sign", "_sort_key", "_hash")
 
     def __init__(self, partition: Partition, sign: int | None = None):
         if sign not in (None, 1, -1):
@@ -47,6 +48,7 @@ class AltLabel:
         self._partition = partition
         self._sign = sign
         self._sort_key = (revlex_key(partition), 0 if sign in (None, 1) else 1)
+        self._hash = hash((partition, sign))
 
     @classmethod
     def parse(cls, text: str) -> "AltLabel":
@@ -89,7 +91,7 @@ class AltLabel:
         return self._partition == other._partition and self._sign == other._sign
 
     def __hash__(self) -> int:
-        return hash((self._partition, self._sign))
+        return self._hash
 
     def __str__(self) -> str:
         if self._sign is None:

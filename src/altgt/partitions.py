@@ -10,13 +10,14 @@ class Partition:
 
     Every partition, derived ones included, comes from the validating
     constructor (or `parse`); none is trusted.  The size is stored, and
-    `conjugate` and the corner map are cached per partition.  The corner
+    `conjugate` and the corner map are cached per partition, and so is the
+    hash, which every cache keyed on a partition takes.  The corner
     map sends each partition one box below to the row of the removed
     corner; `down_set` lists its keys, `covers` is a membership test in it
     and `cover_row` a lookup.
     """
 
-    __slots__ = ("_parts", "_n")
+    __slots__ = ("_parts", "_n", "_hash")
 
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)
@@ -29,6 +30,7 @@ class Partition:
             raise ValueError(f"parts must be positive, got {parts}")
         self._parts = parts
         self._n = sum(parts)
+        self._hash = hash(parts)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -63,7 +65,7 @@ class Partition:
         return self._parts == other._parts
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return self._hash
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self._parts)

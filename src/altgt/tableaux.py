@@ -85,6 +85,11 @@ class StandardTableau:
         return tuple(map(tuple, rows))
 
     @property
+    def word(self) -> tuple[int, ...]:
+        """The 0-based row of each entry: item k - 1 is the row of entry k."""
+        return self._word
+
+    @property
     def n(self) -> int:
         return len(self._word)
 

@@ -177,11 +177,12 @@ def act_simple(i: int, vec: GTVector) -> GTVector:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
     out: dict[StandardTableau, Scalar] = {}
     for tableau, coeff in vec._terms.items():
-        r1, c1 = tableau.position(i)
-        r2, c2 = tableau.position(i + 1)
+        word = tableau.word
+        r1, r2 = word[i - 1], word[i]
         if r1 == r2:
             _accumulate(out, tableau, coeff)
-        elif c1 == c2:
+        elif word[: i - 1].count(r1) == word[: i - 1].count(r2):
+            # same column: entry i+1 sits directly below entry i
             _accumulate(out, tableau, -coeff)
         else:
             diagonal, mixing = _entries(tableau.axial_distance(i))

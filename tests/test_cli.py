@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altgt import yor
 from altgt.cli import main
+from altgt.partitions import partitions_of
 from altgt.scalars import I, Scalar
 from test_verify import column_flip
 
@@ -304,3 +308,64 @@ def test_deterministic_output(capsys):
     first = run_cli(capsys, "bratteli", "--max-n", "6")
     second = run_cli(capsys, "bratteli", "--max-n", "6")
     assert first == second
+
+
+# Parse-boundary fuzzing: small shapes (n <= 7), half of them written
+# cleanly, the rest with non-ASCII digits, mangled separators, empty tokens,
+# shuffled or zero parts and stray signs.  No separator is empty, so digits of
+# neighbouring parts never merge into a large part.
+_DIGIT_FORMS = st.sampled_from([
+    str, str, str, str,
+    lambda d: "0" + str(d),
+    lambda d: chr(0xFF10 + d),  # fullwidth
+    lambda d: chr(0x0660 + d),  # Arabic-Indic
+    lambda d: "\u2070\u00b9\u00b2\u00b3\u2074\u2075\u2076\u2077"[d],  # superscript
+])
+_SEPARATORS = st.sampled_from([",", ",", ",", ",", ", ", " ,", ",,", ";", ".", "\uff0c", " ", "^"])
+_ENDS = st.sampled_from(["", "", "", "", ",", " ", "^", ";"])
+_SIGNS = st.sampled_from(["", "^+", "^-", "^", "^+-", "^ +", "^\u2212", "^\uff0b", "+", "^^-", "^+ "])
+_SMALL_SHAPES = st.sampled_from([p for n in range(1, 8) for p in partitions_of(n)])
+
+
+@st.composite
+def _shape_text(draw, label=False):
+    shape = draw(_SMALL_SHAPES)
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from(["^+", "^-"])) if shape.is_self_conjugate() else ""
+        return str(shape) + (sign if label else "")
+    parts = list(shape.parts)
+    if draw(st.booleans()):
+        parts = draw(st.permutations(parts + draw(st.lists(st.just(0), max_size=1))))
+    digits = [draw(_DIGIT_FORMS)(d) for d in parts]
+    seps = [draw(_SEPARATORS) for _ in digits[1:]]
+    body = digits[0] + "".join(sep + d for sep, d in zip(seps, digits[1:]))
+    return draw(_ENDS) + body + draw(_ENDS) + (draw(_SIGNS) if label else "")
+
+
+_GEN = st.one_of(
+    st.integers(min_value=-2, max_value=9).map(str),
+    st.sampled_from(["", "x", "\u0663", "\uff13", "\u00b3", "1.0", " 2"]),
+)
+_ARGV = st.one_of(
+    st.tuples(st.just("syt"), _shape_text()),
+    st.tuples(st.just("gt"), _shape_text(label=True), st.just("--format"),
+              st.sampled_from(["text", "json", "latex"])),
+    st.tuples(st.just("paths"), _shape_text(label=True)),
+    st.tuples(st.just("assoc"), _shape_text()),
+    st.tuples(st.just("yor"), _shape_text(), st.just("--gen"), _GEN),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().rstrip("\n").splitlines()[-1].startswith(("error:", "altgt"))

@@ -4,6 +4,7 @@ from altgt.geodesics import (
     AltPath,
     class_members,
     class_signature,
+    class_size,
     enumerate_paths,
     geodesic_representatives,
     path_equivalent,
@@ -117,6 +118,20 @@ def test_class_size_power_of_two():
             for p in enumerate_paths(label):
                 r = branch_count_r(p)
                 assert len(class_members(p)) == 2 ** (r + 1)
+
+
+def test_class_size_counts_the_members():
+    for n in range(2, 9):
+        for label in labels(n):
+            for p in enumerate_paths(label):
+                assert class_size(p) == len(class_members(p))
+
+
+def test_class_size_matches_brute_force():
+    for n in range(2, 7):
+        for label in labels(n):
+            for p in enumerate_paths(label):
+                assert class_size(p) == len(brute_force_class_members(p))
 
 
 def test_representative_counts_match_dimension():

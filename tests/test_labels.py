@@ -195,3 +195,19 @@ def test_syt_count_parity_for_self_conjugate():
         for label in labels(n):
             if label.is_signed():
                 assert syt_count(label.partition) % 2 == 0
+
+
+def test_equal_labels_hash_alike_on_every_route():
+    # the hash is stored at construction, so each route must store the same one
+    for n in range(2, 9):
+        routes = {str(label): [label, AltLabel.parse(str(label))] for label in labels(n)}
+        for above in labels(n + 1):
+            for below in dagger_down_set(above):
+                routes[str(below)].append(below)
+        for found in routes.values():
+            first = found[0]
+            direct = AltLabel(Partition(tuple(first.partition.parts)), first.sign)
+            assert len(found) > 2
+            for label in found:
+                assert label == direct and hash(label) == hash(direct)
+        assert len({label for found in routes.values() for label in found}) == len(labels(n))

@@ -165,3 +165,23 @@ def test_self_conjugate_counts():
     expected = {1: 1, 2: 0, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 2, 9: 2, 10: 2}
     for n, count in expected.items():
         assert len(self_conjugate_partitions(n)) == count
+
+
+def test_equal_partitions_hash_alike_on_every_route():
+    # the hash is stored at construction, so each route must store the same one
+    for n in range(1, 9):
+        found = []
+        for p in partitions_of(n):
+            direct = Partition(tuple(p.parts))
+            above = Partition((p[0] + 1,) + p.parts[1:])
+            routes = [
+                p,
+                Partition.parse(str(p)),
+                Partition(list(p.parts)),
+                p.conjugate().conjugate(),
+                next(q for q in above.down_set() if q.parts == p.parts),
+            ]
+            for q in routes:
+                assert q == direct and hash(q) == hash(direct)
+            found.extend(routes)
+        assert len(set(found)) == len(partitions_of(n))
