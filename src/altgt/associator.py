@@ -33,5 +33,5 @@ def assoc_coeff(tableau: StandardTableau) -> Scalar:
 
 def apply_phi(vec: GTVector) -> GTVector:
     """Linear extension of v_T -> assoc_coeff(T) * v_{T transposed}."""
-    out = {t.conjugate(): c * assoc_coeff(t) for t, c in vec._terms.items()}
+    out = {t.conjugate(): c.times_fourth_root(assoc_coeff(t)) for t, c in vec._terms.items()}
     return GTVector._trusted(vec.shape, out)

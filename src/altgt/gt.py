@@ -10,12 +10,18 @@ Each branching path determines one vector by walking the path upward:
   carried vector w is completed to the projection w + e * phi(w) onto the
   +-or- eigenspace of the intertwiner phi.
 
+`gt_vectors` is a generator over many paths.  It yields each vector as its
+path arrives and keeps only the prefixes of the last path, so paths that
+come sorted build each shared prefix once.
+
 Every coefficient of every resulting vector is a fourth root of unity, so
 the optional normalization only divides by the square root of the number of
 terms.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .associator import apply_phi
 from .geodesics import AltPath, geodesic_representatives
@@ -54,16 +60,16 @@ def restrict(vec: GTVector, shape: Partition) -> GTVector:
 
 def gt_vector(path: AltPath, normalize: bool = False) -> GTVector:
     """The basis vector attached to one branching path."""
-    return gt_vectors((path,), normalize=normalize)[0]
+    return next(gt_vectors((path,), normalize=normalize))
 
 
-def gt_vectors(paths, normalize: bool = False) -> list[GTVector]:
-    """The vector of each path, in order.
+def gt_vectors(paths, normalize: bool = False) -> Iterator[GTVector]:
+    """Yield the vector of each path, in order, as each path arrives.
 
     A stack holds (label, vector) for each prefix of the previous path, so
-    sorted paths build every shared prefix once.
+    sorted paths build every shared prefix once, and memory stays
+    proportional to the path length.
     """
-    out = []
     stack: list[tuple[AltLabel, GTVector]] = []
     for path in paths:
         labels = path.labels
@@ -86,8 +92,7 @@ def gt_vectors(paths, normalize: bool = False) -> list[GTVector]:
         vec = stack[-1][1]
         if normalize:
             vec = vec.scale(sqrt_rational(vec.norm_squared().as_rational()).inverse())
-        out.append(vec)
-    return out
+        yield vec
 
 
 def gt_basis(

@@ -2,8 +2,8 @@
 
 A standard tableau on n boxes is a path up Young's graph, and it is stored
 as one: the row that each entry 1..n joins (its Yamanouchi word).  Rows,
-row word, positions and prefix shapes are read off that word, and so is the
-sign of a tableau against the anchor of its shape.  Adding box n reads its
+row word and positions are read off that word, and so is the sign of a
+tableau against the anchor of its shape.  Adding box n reads its
 row from the shape's corner map (`Partition.cover_row`).  The text
 form joins rows with "/" and, when n > 9, separates entries inside a row
 with spaces: "124/3/5", "1 2 10/3 11/...".
@@ -131,13 +131,6 @@ class StandardTableau:
         return StandardTableau._trusted(
             word[: i - 1] + (word[i], word[i - 1]) + word[i + 1:], self._shape
         )
-
-    def prefix_shape(self, k: int) -> Partition:
-        """Shape of the boxes holding entries 1..k."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"prefix size {k} out of range 1..{self.n}")
-        prefix = self._word[:k]
-        return Partition(prefix.count(r) for r in range(max(prefix) + 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StandardTableau):

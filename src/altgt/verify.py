@@ -8,6 +8,7 @@ collects every counterexample.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 
 from . import associator, yor
@@ -15,7 +16,8 @@ from .geodesics import AltPath, class_members, geodesic_representatives, path_eq
 from .gt import embed, gt_vectors, restrict
 from .labels import AltLabel, dim_alt, labels, level_dimension_total
 from .partitions import Partition, partitions_of, self_conjugate_partitions
-from .tableaux import enumerate_syt, reference_tableau
+from .scalars import Scalar
+from .tableaux import StandardTableau, enumerate_syt, reference_tableau
 from .yor import GTVector
 
 
@@ -184,51 +186,89 @@ def verify_associator(max_n: int) -> Report:
     return Report(checks)
 
 
+def _mate_failure(
+    p: AltPath, base: GTVector, t0: StandardTableau, mate: AltPath, other: GTVector
+) -> str | None:
+    """First failed check of one class mate against its representative, or
+    None.  t0 is the first tableau of base, whose coefficients are units, so
+    conjugating inverts them."""
+    if not path_equivalent(p, mate):
+        return f"class of {p}: member {mate} is not equivalent"
+    if other._terms.keys() != base._terms.keys():
+        return f"class of {p} has mismatched supports"
+    ratio = other.coefficient(t0) * base.coefficient(t0).conjugate()
+    if ratio.as_fourth_root() is None:
+        return f"class of {p}: ratio {ratio} is not a unit"
+    if other != base.scale(ratio):
+        return f"class of {p}: members not proportional"
+    return None
+
+
 def _gt_failure(label: AltLabel) -> str | None:
     """First failed check of the basis attached to one label, or None."""
     paths = geodesic_representatives(label)
-    vectors = gt_vectors(paths)
+    vectors = list(gt_vectors(paths))
     if len(paths) != dim_alt(label):
         return f"{len(paths)} classes, expected dimension {dim_alt(label)}"
     for p, v in zip(paths, vectors):
-        if any(c.as_fourth_root() is None for _, c in v.items()):
+        if any(c.as_fourth_root() is None for c in v._terms.values()):
             return f"non-unit coefficient on {p}"
-    # every term's partial shapes must follow the path up to conjugation
-    for p, v in zip(paths, vectors):
-        for t, _ in v.items():
-            for step in p:
-                part = t.prefix_shape(step.n)
-                if part != step.partition and part != step.partition.conjugate():
-                    return f"support of {p} strays at level {step.n}"
+    # every term's partial shapes must follow the path up to conjugation;
+    # one walk of each tableau's word keeps the row counts of its prefix
+    supports = [v.support() for v in vectors]
+    for p, support in zip(paths, supports):
+        steps = [(step.n, step.partition.parts, step.partition.conjugate().parts) for step in p]
+        for t in support:
+            counts = [1]
+            for (n, parts, conjugate), row in zip(steps, t.word[1:]):
+                if row < len(counts):
+                    counts[row] += 1
+                else:
+                    counts.append(1)
+                prefix = tuple(counts)
+                if prefix != parts and prefix != conjugate:
+                    return f"support of {p} strays at level {n}"
     if label.is_signed():
         for p, v in zip(paths, vectors):
             expected = v if label.sign == 1 else -v
             if associator.apply_phi(v) != expected:
                 return f"not a {label.sign:+d} eigenvector on {p}"
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            if not vectors[a].inner(vectors[b]).is_zero():
-                return f"vectors for {paths[a]} and {paths[b]} not orthogonal"
+    # two vectors that share no tableau are orthogonal, so sum conj(c_a) c_b
+    # only over the pairs of vectors that hold each tableau
+    holders = defaultdict(list)
+    for a, v in enumerate(vectors):
+        for t, c in v._terms.items():
+            holders[t].append((a, c))
+    inner = defaultdict(Scalar)
+    for held in holders.values():
+        for k, (a, ca) in enumerate(held):
+            for b, cb in held[k + 1:]:
+                inner[a, b] += ca.conjugate() * cb
+    skew = [pair for pair, total in inner.items() if not total.is_zero()]
+    if skew:
+        a, b = min(skew)
+        return f"vectors for {paths[a]} and {paths[b]} not orthogonal"
     if label.n < 3:
         return None
     # equivalent paths ending here must give the same vector up to a fourth
-    # root of unity; base's coefficients are units, so conjugating inverts
-    for p, base in zip(paths, vectors):
-        mates = [m for m in class_members(p) if m.endpoint == label]
-        support = base._terms.keys()
-        t0 = base.support()[0]
-        for mate, other in zip(mates, gt_vectors(mates)):
-            if not path_equivalent(p, mate):
-                return f"class of {p}: member {mate} is not equivalent"
-            if other._terms.keys() != support:
-                return f"class of {p} has mismatched supports"
-            ratio = other.coefficient(t0) * base.coefficient(t0).conjugate()
-            if ratio.as_fourth_root() is None:
-                return f"class of {p}: ratio {ratio} is not a unit"
-            if other != base.scale(ratio):
-                return f"class of {p}: members not proportional"
+    # root of unity.  The mates of every class are built in one sorted pass,
+    # so classes share their prefixes; the witness is the first failure of
+    # the earliest failing class.
+    tagged = sorted(
+        ((mate, r) for r, p in enumerate(paths) for mate in class_members(p)
+         if mate.endpoint == label),
+        key=lambda pair: pair[0].sort_key(),
+    )
+    failed, witness = len(paths), None
+    for (mate, r), other in zip(tagged, gt_vectors(mate for mate, _ in tagged)):
+        if r < failed:
+            failure = _mate_failure(paths[r], vectors[r], supports[r][0], mate, other)
+            if failure is not None:
+                failed, witness = r, failure
+    if witness is not None:
+        return witness
     # walking one step back down the path must recover the shorter vector
-    truncations = gt_vectors([AltPath(p.labels[:-1]) for p in paths])
+    truncations = gt_vectors(AltPath(p.labels[:-1]) for p in paths)
     for p, v, shorter in zip(paths, vectors, truncations):
         head, prev = p.labels[-1], p.labels[-2]
         if not head.is_signed() or prev.is_signed():

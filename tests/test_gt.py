@@ -100,9 +100,21 @@ def test_gt_vectors_in_any_order():
             paths.extend(enumerate_paths(label))
     random.Random(0).shuffle(paths)
     paths = [q for p in paths[:150] for q in (p, AltPath(p.labels[:2]))]
-    assert gt_vectors(paths) == [gt_vector(p) for p in paths]
-    assert gt_vectors(paths, normalize=True) == [gt_vector(p, normalize=True) for p in paths]
-    assert gt_vectors([]) == []
+    assert list(gt_vectors(paths)) == [gt_vector(p) for p in paths]
+    assert list(gt_vectors(paths, normalize=True)) == [gt_vector(p, normalize=True) for p in paths]
+    assert list(gt_vectors([])) == []
+
+
+def test_gt_vectors_is_lazy():
+    # the first vector arrives before the second path is asked for
+    def paths():
+        yield path("2;2,1^+")
+        raise RuntimeError("read past the first path")
+
+    vectors = gt_vectors(paths())
+    assert next(vectors) == vec("2,1", [("12/3", ONE), ("13/2", I)])
+    with pytest.raises(RuntimeError, match="read past"):
+        next(vectors)
 
 
 def test_eigenvector_for_signed_labels():

@@ -272,6 +272,20 @@ def test_arithmetic_results_are_canonical(a, b, m):
     assert_canonical(a / m, raw_product(a, inverse))
 
 
+@given(scalars(), st.sampled_from([ONE, I, -ONE, -I]))
+def test_times_fourth_root_matches_product(a, root):
+    got = a.times_fourth_root(root)
+    assert got == a * root
+    assert_canonical(got, raw_product(a, root))
+
+
+def test_times_fourth_root_refuses_other_values():
+    for value in (ZERO, Scalar.rational(2), Scalar.gaussian(1, 1), sqrt_rational(2),
+                  Scalar.rational(Fraction(1, 2)), ONE + sqrt_rational(2)):
+        with pytest.raises(ValueError, match="fourth root"):
+            ONE.times_fourth_root(value)
+
+
 def test_cancelling_product():
     got = (sqrt_rational(2) + sqrt_rational(3)) * (sqrt_rational(2) - sqrt_rational(3))
     assert got == -1

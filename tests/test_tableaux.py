@@ -149,11 +149,12 @@ def test_swap_flips_axial_distance():
 
 def test_prefix_shape():
     t = StandardTableau.parse("13/24/5/6")
-    assert t.prefix_shape(4) == Partition((2, 2))
-    assert t.prefix_shape(1) == Partition((1,))
-    assert t.prefix_shape(6) == t.shape
-    with pytest.raises(ValueError):
-        t.prefix_shape(0)
+    _, _, prefix_shapes = tableau_facts_from_rows(t.rows)
+    assert prefix_shapes[3] == Partition((2, 2))
+    assert prefix_shapes[0] == Partition((1,))
+    assert prefix_shapes[5] == t.shape
+    # one shape for each prefix size 1..n, none for size 0
+    assert len(prefix_shapes) == t.n
 
 
 def test_append_box():
@@ -174,7 +175,12 @@ def assert_same_as_validated(t, rows=None):
     assert t.rows == rows
     assert t.row_word() == row_word
     assert [t.position(e) for e in range(1, t.n + 1)] == positions
-    assert [t.prefix_shape(k) for k in range(1, t.n + 1)] == prefix_shapes
+    # the first k items of the word count the rows of the entries 1..k
+    word = t.word
+    assert [
+        Partition(word[:k].count(r) for r in range(max(word[:k]) + 1))
+        for k in range(1, t.n + 1)
+    ] == prefix_shapes
 
 
 def test_derived_tableaux_match_validated_ones():
@@ -183,6 +189,7 @@ def test_derived_tableaux_match_validated_ones():
         for shape in partitions_of(n):
             for t in enumerate_syt(shape):
                 rows = t.rows
+                prefix_shapes = tableau_facts_from_rows(rows)[2]
                 assert_same_as_validated(t)
                 transposed = [
                     [row[c] for row in rows if c < len(row)] for c in range(len(rows[0]))
@@ -195,7 +202,7 @@ def test_derived_tableaux_match_validated_ones():
                         swapped = [[swap.get(e, e) for e in row] for row in rows]
                         assert_same_as_validated(t.swap_adjacent(i), swapped)
                 if n > 1:
-                    smaller = remove_box(t, t.prefix_shape(n - 1))
+                    smaller = remove_box(t, prefix_shapes[n - 2])
                     shrunk = [[e for e in row if e != n] for row in rows]
                     assert_same_as_validated(smaller, [row for row in shrunk if row])
                     assert append_box(smaller, shape) == t
@@ -215,8 +222,9 @@ def test_conjugating_the_enumeration_is_a_bijection():
 def test_prefix_chain_is_a_path(shape, data):
     tableaux = enumerate_syt(shape)
     t = data.draw(st.sampled_from(tableaux))
+    _, _, prefix_shapes = tableau_facts_from_rows(t.rows)
     for k in range(1, t.n):
-        assert t.prefix_shape(k + 1).covers(t.prefix_shape(k))
+        assert prefix_shapes[k].covers(prefix_shapes[k - 1])
 
 
 def test_sign_alternates_on_swaps():

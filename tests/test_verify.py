@@ -1,6 +1,7 @@
 import pytest
 
 from altgt import associator, gt, verify, yor
+from altgt.geodesics import enumerate_paths
 from altgt.labels import AltLabel
 from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, permutation_sign
@@ -211,3 +212,78 @@ def test_warm_caches_do_not_hide_faults(monkeypatch):
         patch.setattr(StandardTableau, "axial_distance", doubled_axial_distance)
         assert not outcomes()["yor"]
     assert all(outcomes().values())
+
+
+def gt_witnesses(*texts):
+    return [verify_gt(AltLabel.parse(text)).checks[0].witness for text in texts]
+
+
+def shifted_vectors(paths, normalize=False, _orig=gt.gt_vectors):
+    # each path is paired with the vector of the path after it
+    vectors = list(_orig(paths, normalize=normalize))
+    return vectors[1:] + vectors[:1]
+
+
+def test_fault_injection_stray_support(monkeypatch):
+    monkeypatch.setattr(verify, "gt_vectors", shifted_vectors)
+    assert gt_witnesses("3,1", "3,2", "4,1,1") == [
+        "support of 2;3;3,1 strays at level 3",
+        "support of 2;3;3,1;3,2 strays at level 3",
+        "support of 2;3;4;4,1;4,1,1 strays at level 4",
+    ]
+
+
+def mate_for_neighbour(label, _orig=verify.geodesic_representatives):
+    # the representative before the first class with a second member at this
+    # label is replaced by that member, so two vectors are proportional
+    reps = list(_orig(label))
+    for j, p in enumerate(reps):
+        mates = [m for m in verify.class_members(p) if m.endpoint == label and m != p]
+        if mates:
+            reps[j - 1] = mates[0]
+            break
+    return tuple(reps)
+
+
+def test_fault_injection_orthogonality(monkeypatch):
+    monkeypatch.setattr(verify, "geodesic_representatives", mate_for_neighbour)
+    assert gt_witnesses("3,1", "4,1,1", "3,2,1^+") == [
+        "vectors for 1,1;2,1^+;3,1 and 2;2,1^+;3,1 not orthogonal",
+        "vectors for 1,1;1,1,1;2,1,1;3,1,1^+;4,1,1 and 2;3;3,1;3,1,1^+;4,1,1 not orthogonal",
+        "vectors for 2;3;3,1;3,2;3,2,1^+ and 1,1;1,1,1;2,1,1;2,2,1;3,2,1^+ not orthogonal",
+    ]
+
+
+def test_fault_injection_mismatched_supports(monkeypatch):
+    # every path ending at the label passes as a member of every class
+    monkeypatch.setattr(verify, "class_members", lambda p: enumerate_paths(p.endpoint))
+    monkeypatch.setattr(verify, "path_equivalent", lambda p, q: True)
+    assert gt_witnesses("3,1", "3,2", "4,1,1") == [
+        "class of 2;3;3,1 has mismatched supports",
+        "class of 2;3;3,1;3,2 has mismatched supports",
+        "class of 2;3;4;4,1;4,1,1 has mismatched supports",
+    ]
+
+
+def rotated_phi(vec, _orig=associator.apply_phi):
+    # the walk completes w to w + i*phi(w), which is no eigenvector of phi
+    return _orig(vec).scale(I)
+
+
+def test_fault_injection_not_proportional(monkeypatch):
+    monkeypatch.setattr(gt, "apply_phi", rotated_phi)
+    assert gt_witnesses("3,1", "3,2", "4,1,1") == [
+        "class of 2;2,1^+;3,1: members not proportional",
+        "class of 2;2,1^+;3,1;3,2: members not proportional",
+        "class of 2;3;3,1;3,1,1^+;4,1,1: members not proportional",
+    ]
+
+
+def test_fault_injection_lowest_failing_class(monkeypatch):
+    # only identical paths pass as equivalent, so every class with a second
+    # member at the label fails; the witness names the earliest representative
+    monkeypatch.setattr(verify, "path_equivalent", lambda p, q: p == q)
+    assert gt_witnesses("3,1,1^+", "4,1,1") == [
+        "class of 2;3;3,1;3,1,1^+: member 1,1;1,1,1;2,1,1;3,1,1^+ is not equivalent",
+        "class of 2;3;3,1;3,1,1^+;4,1,1: member 1,1;1,1,1;2,1,1;3,1,1^+;4,1,1 is not equivalent",
+    ]
