@@ -290,17 +290,19 @@ class Scalar:
     __rmul__ = __mul__
 
     def times_fourth_root(self, root: "Scalar") -> "Scalar":
-        """self * root for a fourth root of unity.  Multiplying (a + b*i)/d
-        by x + y*i with x*x + y*y = 1 rotates (a, b), which keeps
-        gcd(a, b, d), so no coefficient needs reducing."""
-        if root.as_fourth_root() is None:
+        """self * root for a fourth root of unity x + y*i.  Multiplying
+        (a + b*i)/d by it rotates (a, b), which keeps gcd(a, b, d), so no
+        coefficient needs reducing."""
+        unit = root._terms.get(1)
+        if (unit is None or len(root._terms) != 1 or unit._d != 1
+                or unit._a * unit._a + unit._b * unit._b != 1):
             raise ValueError(f"{root} is not a fourth root of unity")
-        unit = root._terms[1]
         x, y = unit._a, unit._b
-        return Scalar._of({
-            q: _of(c._a * x - c._b * y, c._a * y + c._b * x, c._d)
-            for q, c in self._terms.items()
-        })
+        out = {}
+        for q, c in self._terms.items():
+            a, b = c._a, c._b
+            out[q] = _of(a * x - b * y, a * y + b * x, c._d)
+        return Scalar._of(out)
 
     def inverse(self) -> "Scalar":
         """Invert a single-term value g*sqrt(q); general sums are not supported."""

@@ -254,6 +254,16 @@ def test_fault_injection_orthogonality(monkeypatch):
     ]
 
 
+def test_fault_injection_earliest_skew_pair(monkeypatch):
+    # without the eigenspace completion the + and - vectors of each signed
+    # step coincide; several pairs fail and the witness names the first
+    monkeypatch.setattr(gt, "apply_phi", lambda vec: GTVector.zero(vec.shape))
+    assert gt_witnesses("4,1,1", "4,2") == [
+        "vectors for 2;3;3,1;3,1,1^+;4,1,1 and 2;3;3,1;3,1,1^-;4,1,1 not orthogonal",
+        "vectors for 2;2,1^+;3,1;4,1;4,2 and 2;2,1^-;3,1;4,1;4,2 not orthogonal",
+    ]
+
+
 def test_fault_injection_mismatched_supports(monkeypatch):
     # every path ending at the label passes as a member of every class
     monkeypatch.setattr(verify, "class_members", lambda p: enumerate_paths(p.endpoint))
@@ -276,6 +286,28 @@ def test_fault_injection_not_proportional(monkeypatch):
         "class of 2;2,1^+;3,1: members not proportional",
         "class of 2;2,1^+;3,1;3,2: members not proportional",
         "class of 2;3;3,1;3,1,1^+;4,1,1: members not proportional",
+    ]
+
+
+def doubled_first_coefficient(paths, normalize=False, _orig=gt.gt_vectors):
+    # paths from (1,1) get their first coefficient, in row-word order, doubled
+    paths = list(paths)
+    out = []
+    for p, v in zip(paths, _orig(paths, normalize=normalize)):
+        if str(p.labels[0]) == "1,1":
+            first = v.support()[0]
+            v = GTVector(v.shape, {**v._terms, first: v._terms[first] * 2})
+        out.append(v)
+    return out
+
+
+def test_fault_injection_ratio_not_a_unit(monkeypatch):
+    # the ratio is read at the first tableau of the representative's vector
+    monkeypatch.setattr(verify, "gt_vectors", doubled_first_coefficient)
+    assert gt_witnesses("3,1", "3,2", "4,1,1") == [
+        "class of 2;2,1^+;3,1: ratio -2*i is not a unit",
+        "class of 2;2,1^+;3,1;3,2: ratio -2*i is not a unit",
+        "class of 2;3;3,1;3,1,1^+;4,1,1: ratio -2 is not a unit",
     ]
 
 
