@@ -140,8 +140,7 @@ def _cmd_gt(args) -> int:
             print(f"u_{{{subscript}}} = {' + '.join(terms)}")
     else:
         for path, vector in basis:
-            terms = " + ".join(f"({c})*v[{t}]" for t, c in vector.items())
-            print(f"u[{path}] = {terms}")
+            print(f"u[{path}] = {vector}")
     return 0
 
 

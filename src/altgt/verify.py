@@ -199,7 +199,7 @@ def _mate_failure(
     ratio = other.coefficient(t0) * base.coefficient(t0).conjugate()
     if ratio.as_fourth_root() is None:
         return f"class of {p}: ratio {ratio} is not a unit"
-    if other != base.scale(ratio):
+    if any(other._terms[t] != c.times_fourth_root(ratio) for t, c in base._terms.items()):
         return f"class of {p}: members not proportional"
     return None
 

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here deliberately avoids the library's own recursions: tableaux
-come from filtering raw permutations, signs from inversion counting, and
-conjugates from transposing cell sets.
+come from filtering raw permutations, signs from inversion counting,
+conjugates from transposing cell sets, and scalar values from Fraction
+pairs on unreduced radicands.
 """
 
+from fractions import Fraction
 from itertools import permutations, product
+from math import isqrt, lcm
 
 from altgt import AltLabel, AltPath, Partition, StandardTableau
 
@@ -115,3 +118,57 @@ def tableau_facts_from_rows(rows) -> tuple[tuple[int, ...], list, list]:
         lengths = [sum(1 for e in row if e <= k) for row in rows]
         prefix_shapes.append(Partition([ln for ln in lengths if ln]))
     return row_word, positions, prefix_shapes
+
+
+# The scalar ring, without altgt.scalars arithmetic.  A raw value is a list
+# of (q, (re, im)) pairs with Fraction parts, meaning the sum of
+# (re + im*i)*sqrt(q) over the pairs; q may repeat and need not be squarefree.
+
+
+def raw_terms(x) -> list:
+    """The raw value of a Scalar, read off the triples of its terms()."""
+    return [(q, (Fraction(a, d), Fraction(b, d))) for q, (a, b, d) in x.terms()]
+
+
+def raw_sum(*values) -> list:
+    return [term for value in values for term in value]
+
+
+def negated(value) -> list:
+    return [(q, (-re, -im)) for q, (re, im) in value]
+
+
+def conjugated(value) -> list:
+    return [(q, (re, -im)) for q, (re, im) in value]
+
+
+def raw_product(u, v) -> list:
+    # radicands multiply unreduced
+    return [(q1 * q2, (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
+            for q1, (r1, i1) in u for q2, (r2, i2) in v]
+
+
+def raw_inverse(value) -> list:
+    """1/(c*sqrt(q)) = conj(c)/(|c|^2 * q) * sqrt(q) for one nonzero term."""
+    ((q, (re, im)),) = value
+    scale = (re * re + im * im) * q
+    return [(q, (re / scale, -im / scale))]
+
+
+def canonical_terms(value) -> tuple:
+    """The terms() a Scalar equal to the raw value must have: squarefree
+    radicands in increasing order, each with the triple (a, b, d) of
+    (a + b*i)/d where d is the lcm of the reduced denominators."""
+    collected: dict[int, tuple[Fraction, Fraction]] = {}
+    for q, (re, im) in value:
+        g = max(k for k in range(1, isqrt(q) + 1) if q % (k * k) == 0)
+        s = q // (g * g)
+        old_re, old_im = collected.get(s, (Fraction(0), Fraction(0)))
+        collected[s] = (old_re + g * Fraction(re), old_im + g * Fraction(im))
+    out = []
+    for s in sorted(collected):
+        re, im = collected[s]
+        if re or im:
+            d = lcm(re.denominator, im.denominator)
+            out.append((s, ((re * d).numerator, (im * d).numerator, d)))
+    return tuple(out)

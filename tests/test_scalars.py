@@ -4,29 +4,42 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from altgt import scalars as scalar_module
 from altgt.scalars import (
     I,
     ONE,
     ZERO,
-    GaussianRational,
     Scalar,
     i_power,
     split_square,
     sqrt_rational,
 )
+from oracles import (
+    canonical_terms,
+    conjugated,
+    negated,
+    raw_inverse,
+    raw_product,
+    raw_sum,
+    raw_terms,
+)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30])
+# squarefree radicands and some with square factors, which the public
+# constructors reduce
+radicands = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 18, 30, 50])
+raw_values = st.dictionaries(radicands, st.tuples(fractions, fractions), max_size=3)
+
+
+def from_raw(raw: dict) -> Scalar:
+    """The Scalar of a raw {q: (re, im)} value, through a public constructor."""
+    return Scalar.from_json([{"radicand": q, "re": str(re), "im": str(im)}
+                             for q, (re, im) in raw.items()])
 
 
 @st.composite
 def scalars(draw):
-    n_terms = draw(st.integers(min_value=0, max_value=3))
-    terms = {}
-    for _ in range(n_terms):
-        q = draw(radicands)
-        terms[q] = GaussianRational(draw(fractions), draw(fractions))
-    return Scalar(terms)
+    return from_raw(draw(raw_values))
 
 
 def test_split_square():
@@ -46,13 +59,13 @@ def test_addition_collects_like_radicands():
 
 def test_product_reduces_radicands():
     got = sqrt_rational(6) * sqrt_rational(10)
-    expected = Scalar({15: GaussianRational(2)})
+    expected = Scalar({15: 2})
     assert got == expected
 
 
 def test_sqrt_of_fraction():
     got = sqrt_rational(Fraction(3, 4))
-    assert got == Scalar({3: GaussianRational(Fraction(1, 2))})
+    assert got == Scalar({3: Fraction(1, 2)})
     assert got * got == Scalar.rational(Fraction(3, 4))
 
 
@@ -97,7 +110,7 @@ def test_i_power_cycle():
 
 
 def test_monomial_inverse():
-    half_sqrt3 = Scalar({3: GaussianRational(Fraction(1, 2))})
+    half_sqrt3 = Scalar({3: Fraction(1, 2)})
     assert half_sqrt3 * half_sqrt3.inverse() == ONE
     assert I.inverse() == -I
     with pytest.raises(ValueError):
@@ -128,6 +141,13 @@ def test_text_rendering():
     assert str(Scalar.rational(Fraction(-1, 2)) + sqrt_rational(Fraction(3, 4))) == \
         "-1/2 + 1/2*sqrt(3)"
     assert str(Scalar.gaussian(1, 1) * sqrt_rational(2)) == "(1+i)*sqrt(2)"
+    assert str(Scalar.gaussian(Fraction(1, 4), Fraction(1, 2))) == "1/4+1/2*i"
+    assert str(Scalar.gaussian(1, -2)) == "1-2*i"
+    assert str(Scalar.gaussian(0, Fraction(-3, 2))) == "-3/2*i"
+    assert str(Scalar.gaussian(Fraction(1, 2), -1) * sqrt_rational(3)) == "(1/2-i)*sqrt(3)"
+    assert str(-sqrt_rational(2)) == "-sqrt(2)"
+    assert str(Scalar.gaussian(1, 1) + sqrt_rational(2)) == "(1+i) + sqrt(2)"
+    assert str(sqrt_rational(Fraction(2, 9)) - sqrt_rational(3)) == "1/3*sqrt(2) + -sqrt(3)"
 
 
 def test_latex_rendering():
@@ -135,6 +155,16 @@ def test_latex_rendering():
     assert sqrt_rational(Fraction(3, 4)).latex() == "\\frac{1}{2}\\sqrt{3}"
     assert I.latex() == "i"
     assert (-I).latex() == "-i"
+    assert Scalar.gaussian(Fraction(1, 4), Fraction(1, 2)).latex() == \
+        "\\frac{1}{4}+\\frac{1}{2}i"
+    assert Scalar.gaussian(1, -2).latex() == "1-2i"
+    assert Scalar.gaussian(0, Fraction(-3, 2)).latex() == "-\\frac{3}{2}i"
+    assert (Scalar.gaussian(Fraction(1, 2), -1) * sqrt_rational(3)).latex() == \
+        "\\left(\\frac{1}{2}-i\\right)\\sqrt{3}"
+    assert (-sqrt_rational(2)).latex() == "-\\sqrt{2}"
+    assert (Scalar.gaussian(1, 1) + sqrt_rational(2)).latex() == "\\left(1+i\\right) + \\sqrt{2}"
+    mixed = Scalar.gaussian(0, 2) + Scalar.gaussian(Fraction(-1, 3), 1) * sqrt_rational(5)
+    assert mixed.latex() == "2i + \\left(-\\frac{1}{3}+i\\right)\\sqrt{5}"
 
 
 def test_json_round_trip():
@@ -157,16 +187,17 @@ def test_json_rejects_bad_radicand():
 
 @given(fractions, fractions)
 def test_gaussian_rational_round_trip(re, im):
-    c = GaussianRational(re, im)
-    assert c.re == re and c.im == im
-    assert c == GaussianRational(str(re), str(im))
-    assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
-    assert hash(GaussianRational(re)) == hash(re)
+    c = Scalar.gaussian(re, im)
+    assert_canonical(c, [(1, (re, im))])
+    for q, (a, b, d) in c.terms():
+        assert (q, Fraction(a, d), Fraction(b, d)) == (1, re, im)
+    assert c == Scalar.gaussian(str(re), str(im))
+    assert hash(Scalar.rational(re)) == hash(re)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: GaussianRational(0.5),
-    lambda: GaussianRational(1, 0.25),
+    lambda: Scalar({1: 1, 3: 0.75}),
+    lambda: Scalar.gaussian(0.25, 1),
     lambda: Scalar.rational(0.1),
     lambda: Scalar.gaussian(0, 0.5),
     lambda: Scalar({2: 0.5}),
@@ -188,8 +219,22 @@ def test_json_refuses_floats_and_bool_radicands(entry, bad):
 
 
 def test_constructor_reduces_radicands():
-    assert Scalar({12: GaussianRational(1)}) == Scalar({3: GaussianRational(2)})
-    assert Scalar({4: GaussianRational(1)}) == Scalar.rational(2)
+    assert Scalar({12: 1}) == Scalar({3: 2})
+    assert Scalar({4: 1}) == Scalar.rational(2)
+
+
+@given(raw_values)
+def test_public_constructors_match_reference(raw):
+    assert_canonical(from_raw(raw), list(raw.items()))
+    real = {q: re for q, (re, _) in raw.items()}
+    assert_canonical(Scalar(real), [(q, (re, 0)) for q, re in real.items()])
+
+
+@given(st.fractions(min_value=0, max_value=50, max_denominator=12))
+def test_sqrt_rational_matches_reference(value):
+    # sqrt(a/b) = sqrt(a*b)/b
+    a, b = value.numerator, value.denominator
+    assert_canonical(sqrt_rational(value), [(a * b, (Fraction(1, b), 0))] if a else [])
 
 
 @given(scalars(), scalars(), scalars())
@@ -220,63 +265,49 @@ def test_json_round_trip_random(a):
 def monomials(draw):
     """A nonzero one-term value c*sqrt(q)."""
     coeff = draw(st.tuples(fractions, fractions).filter(any))
-    return Scalar({draw(radicands): GaussianRational(*coeff)})
+    return from_raw({draw(radicands): coeff})
 
 
 def assert_canonical(x, reference):
-    """x has canonical terms equal to those of `reference`, a raw terms dict."""
+    """x has canonical terms, equal to those of `reference`, a raw value."""
     terms = x.terms()
-    assert Scalar(dict(terms)).terms() == terms
     radicands = [q for q, _ in terms]
     assert radicands == sorted(set(radicands))
-    for q, c in terms:
-        assert split_square(q) == (1, q)
-        assert not c.is_zero()
-        assert type(c.re) is Fraction and type(c.im) is Fraction
-        # the stored triple (a, b, d) is reduced: d > 0 and gcd(a, b, d) = 1
-        assert all(type(x) is int for x in (c._a, c._b, c._d))
-        assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
-    assert terms == Scalar(reference).terms()
-
-
-def raw_sum(*term_lists):
-    """Collect terms by radicand without reducing or dropping anything."""
-    out = {}
-    for terms in term_lists:
-        for q, c in terms:
-            out[q] = out.get(q, GaussianRational()) + c
-    return out
-
-
-def raw_product(a, b):
-    # radicands multiply unreduced; the public constructor reduces them
-    return raw_sum([(q1 * q2, c1 * c2) for q1, c1 in a.terms() for q2, c2 in b.terms()])
-
-
-def negated(a):
-    return [(q, GaussianRational(-c.re, -c.im)) for q, c in a.terms()]
+    for q, (a, b, d) in terms:
+        assert all(type(v) is int for v in (q, a, b, d))
+        assert q >= 1 and all(q % (k * k) for k in range(2, math.isqrt(q) + 1))
+        assert a or b
+        assert d > 0 and math.gcd(a, b, d) == 1, f"unreduced triple {(a, b, d)}"
+    assert terms == canonical_terms(reference)
 
 
 @given(scalars(), scalars(), monomials())
 def test_arithmetic_results_are_canonical(a, b, m):
-    assert_canonical(a + b, raw_sum(a.terms(), b.terms()))
-    assert_canonical(a - b, raw_sum(a.terms(), negated(b)))
-    assert_canonical(a * b, raw_product(a, b))
-    assert_canonical(-a, raw_sum(negated(a)))
-    assert_canonical(a.conjugate(), raw_sum([(q, GaussianRational(c.re, -c.im))
-                                             for q, c in a.terms()]))
-    ((q, c),) = m.terms()
-    norm = c.re * c.re + c.im * c.im
-    # 1/(c*sqrt(q)) = conj(c)/(|c|^2 * q) * sqrt(q)
-    inverse = Scalar({q: GaussianRational(c.re / (norm * q), -c.im / (norm * q))})
-    assert_canonical(a / m, raw_product(a, inverse))
+    ra, rb = raw_terms(a), raw_terms(b)
+    assert_canonical(a + b, raw_sum(ra, rb))
+    assert_canonical(a - b, raw_sum(ra, negated(rb)))
+    assert_canonical(a * b, raw_product(ra, rb))
+    assert_canonical(-a, negated(ra))
+    assert_canonical(a.conjugate(), conjugated(ra))
+    assert_canonical(m.inverse(), raw_inverse(raw_terms(m)))
+    assert_canonical(a / m, raw_product(ra, raw_inverse(raw_terms(m))))
+
+
+def test_fault_injection_unreduced_triple(monkeypatch):
+    # a _norm that skips the gcd leaves 2/2 unreduced in a product
+    half, two = Scalar.rational(Fraction(1, 2)), Scalar.rational(2)
+    reference = raw_product(raw_terms(half), raw_terms(two))
+    assert_canonical(half * two, reference)
+    monkeypatch.setattr(scalar_module, "_norm", lambda a, b, d: (a, b, d))
+    with pytest.raises(AssertionError, match="unreduced triple"):
+        assert_canonical(half * 2, reference)
 
 
 @given(scalars(), st.sampled_from([ONE, I, -ONE, -I]))
 def test_times_fourth_root_matches_product(a, root):
     got = a.times_fourth_root(root)
     assert got == a * root
-    assert_canonical(got, raw_product(a, root))
+    assert_canonical(got, raw_product(raw_terms(a), raw_terms(root)))
 
 
 def test_times_fourth_root_refuses_other_values():
@@ -289,7 +320,7 @@ def test_times_fourth_root_refuses_other_values():
 def test_cancelling_product():
     got = (sqrt_rational(2) + sqrt_rational(3)) * (sqrt_rational(2) - sqrt_rational(3))
     assert got == -1
-    assert got.terms() == ((1, GaussianRational(-1)),)
+    assert got.terms() == ((1, (-1, 0, 1)),)
     assert (sqrt_rational(2) - sqrt_rational(2)).terms() == ()
 
 
@@ -305,9 +336,9 @@ def test_hash_agrees_with_equality():
     half = Fraction(1, 2)
     assert hash(Scalar.rational(half)) == hash(half)
     assert len({Scalar.rational(half), half, sqrt_rational(half)}) == 2
-    # a GaussianRational equals the Scalar with it as rational part
-    assert Scalar.rational(1) == GaussianRational(1)
-    assert len({Scalar.rational(1), GaussianRational(1), 1}) == 1
-    assert hash(GaussianRational(half)) == hash(half)
-    assert len({Scalar.gaussian(half, -1), GaussianRational(half, -1)}) == 1
-    assert len({ZERO, GaussianRational(0), 0}) == 1
+    # equal values built different ways hash alike
+    assert len({Scalar.rational(1), Scalar.gaussian(1, 0), Fraction(1), 1}) == 1
+    assert len({Scalar.gaussian(half, -1), Scalar.rational(half) - I}) == 1
+    radical = Scalar.gaussian(1, 1) * sqrt_rational(2)
+    assert len({radical, sqrt_rational(8) * Scalar.gaussian(half, half)}) == 1
+    assert len({ZERO, Scalar.rational(0), Scalar.gaussian(0, 0), Fraction(0), 0}) == 1

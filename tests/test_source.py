@@ -19,3 +19,17 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_has_no_floats():
+    # exact arithmetic only: no float literal and no float(...) call; complex
+    # literals such as 1j, used as labels of the fourth roots, are allowed
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCE
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Constant) and type(node.value) is float)
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float")
+    ]
+    assert found == []
