@@ -21,9 +21,6 @@ from .tableaux import enumerate_syt
 from .verify import Report, verify_associator, verify_gt_range, verify_yor
 from .yor import rep_matrix
 
-_ROOT_LATEX = {complex(1): "", complex(-1): "-", 1j: "i ", -1j: "-i "}
-
-
 def _matrix_text(mat) -> str:
     cells = [[str(x) for x in row] for row in mat]
     widths = [max(len(cells[r][c]) for r in range(len(cells))) for c in range(len(cells[0]))]
@@ -126,18 +123,8 @@ def _cmd_gt(args) -> int:
         print(json.dumps(payload, indent=2))
     elif args.format == "latex":
         for path, vector in basis:
-            terms = []
-            for t, c in vector.items():
-                root = c.as_fourth_root()
-                if root is not None:
-                    coeff = _ROOT_LATEX[root]
-                else:
-                    body = c.latex()
-                    mixed = "+" in body[1:] or "-" in body[1:]
-                    coeff = f"\\left({body}\\right)" if mixed else body
-                terms.append(f"{coeff}v_{{{t.latex()}}}")
             subscript = ",".join(label_part.latex() for label_part in path)
-            print(f"u_{{{subscript}}} = {' + '.join(terms)}")
+            print(f"u_{{{subscript}}} = {vector.latex()}")
     else:
         for path, vector in basis:
             print(f"u[{path}] = {vector}")

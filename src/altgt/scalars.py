@@ -73,44 +73,50 @@ def _gaussian(re, im=0) -> tuple[int, int, int]:
                  re.denominator * im.denominator)
 
 
-def _text(c: tuple[int, int, int]) -> str:
-    """A nonzero triple as text: 1/2, -i, 3/2*i, 1+i."""
-    a, b, d = c
-    re, im = Fraction(a, d), Fraction(b, d)
-    if not b:
-        return str(re)
-    im_part = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
-    if not a:
-        return im_part
-    joiner = "" if im_part.startswith("-") else "+"
-    return f"{re}{joiner}{im_part}"
+def _latex_rational(n: int, d: int) -> str:
+    if d == 1:
+        return str(n)
+    return f"{'-' if n < 0 else ''}\\frac{{{abs(n)}}}{{{d}}}"
 
 
-def _latex(c: tuple[int, int, int]) -> str:
-    """A nonzero triple as LaTeX: \\frac{1}{2}, -i, 1+2i."""
-    a, b, d = c
+# how text and LaTeX write a reduced rational n/d, a product, a bracketed
+# coefficient and sqrt(q)
+_STYLES = {
+    "text": (lambda n, d: f"{n}/{d}" if d > 1 else str(n), "*", "(", ")", "sqrt({})".format),
+    "latex": (_latex_rational, "", "\\left(", "\\right)", "\\sqrt{{{}}}".format),
+}
+# how a coefficient of 1 or -1 on a radical is written
+_SIGNS = {(1, 0, 1): "", (-1, 0, 1): "-"}
+# the fourth roots of unity 1, -1, i, -i as triples
+_FOURTH_ROOTS = {*_SIGNS, (0, 1, 1), (0, -1, 1)}
 
-    def frac(n: int, unit: str = "") -> str:
-        f = Fraction(abs(n), d)
-        if f.denominator != 1:
-            body = f"\\frac{{{f.numerator}}}{{{f.denominator}}}{unit}"
+
+def _render(terms: dict[int, tuple[int, int, int]], style: str) -> str:
+    """Canonical terms in one of the ``_STYLES``: a coefficient is written
+    a, b*i or a+b*i, bracketed when both parts are nonzero and it is not the
+    whole value, and a coefficient of 1 or -1 on a radical is a sign."""
+    if not terms:
+        return "0"
+    rational, times, left, right, radical = _STYLES[style]
+    parts = []
+    for q, c in terms.items():
+        sign = _SIGNS.get(c) if q > 1 else None
+        if sign is not None:
+            parts.append(sign + radical(q))
+            continue
+        a, b, d = c
+        if not b:
+            body = rational(a, d)  # gcd(a, d) = 1 in a reduced triple
         else:
-            body = unit if f == 1 and unit else f"{f.numerator}{unit}"
-        return ("-" if n < 0 else "") + body
-
-    if not b:
-        return frac(a)
-    im_part = frac(b, "i")
-    if not a:
-        return im_part
-    joiner = "" if im_part.startswith("-") else "+"
-    return f"{frac(a)}{joiner}{im_part}"
-
-
-_UNIT = (1, 0, 1)
-_MINUS_UNIT = (-1, 0, 1)
-# the fourth roots of unity, keyed by their triples
-_FOURTH_ROOTS = {_UNIT: complex(1), _MINUS_UNIT: complex(-1), (0, 1, 1): 1j, (0, -1, 1): -1j}
+            g = math.gcd(b, d)
+            body = "i" if b == d else "-i" if b == -d else rational(b // g, d // g) + times + "i"
+            if a:
+                g = math.gcd(a, d)
+                body = rational(a // g, d // g) + ("" if b < 0 else "+") + body
+                if q > 1 or len(terms) > 1:
+                    body = left + body + right
+        parts.append(body if q == 1 else body + times + radical(q))
+    return " + ".join(parts)
 
 
 class Scalar:
@@ -232,9 +238,9 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         return Scalar._of({q: (a, -b, d) for q, (a, b, d) in self._terms.items()})
 
-    def as_fourth_root(self):
-        """Return 1, -1, 1j or -1j when the value is that root of unity, else None."""
-        return _FOURTH_ROOTS.get(self._terms.get(1)) if len(self._terms) == 1 else None
+    def is_fourth_root(self) -> bool:
+        """Whether the value is 1, -1, i or -i."""
+        return len(self._terms) == 1 and self._terms.get(1) in _FOURTH_ROOTS
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -245,50 +251,18 @@ class Scalar:
     def __hash__(self) -> int:
         # __eq__ coerces ints and Fractions, so a rational value hashes like them
         if self.is_rational():
-            return hash(self.as_rational())
+            a, _, d = self._terms.get(1, (0, 0, 1))
+            return hash(a if d == 1 else Fraction(a, d))
         return hash(tuple(self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for q, c in self._terms.items():
-            cs = _text(c)
-            mixed = "+" in cs[1:] or "-" in cs[1:]
-            wrapped = f"({cs})" if mixed else cs
-            if q == 1:
-                parts.append(wrapped if len(self._terms) > 1 else cs)
-            elif c == _UNIT:
-                parts.append(f"sqrt({q})")
-            elif c == _MINUS_UNIT:
-                parts.append(f"-sqrt({q})")
-            else:
-                parts.append(f"{wrapped}*sqrt({q})")
-        return " + ".join(parts)
+        return _render(self._terms, "text")
 
     def __repr__(self) -> str:
         return f"Scalar({self._terms!r})"
 
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for q, c in self._terms.items():
-            cl = _latex(c)
-            mixed = "+" in cl[1:] or "-" in cl[1:]
-            if q == 1:
-                parts.append(f"\\left({cl}\\right)" if mixed and len(self._terms) > 1 else cl)
-            else:
-                rad = f"\\sqrt{{{q}}}"
-                if c == _UNIT:
-                    parts.append(rad)
-                elif c == _MINUS_UNIT:
-                    parts.append("-" + rad)
-                elif mixed:
-                    parts.append(f"\\left({cl}\\right){rad}")
-                else:
-                    parts.append(f"{cl}{rad}")
-        return " + ".join(parts)
+        return _render(self._terms, "latex")
 
     def to_json(self) -> list[dict]:
         return [{"radicand": q, "re": str(Fraction(a, d)), "im": str(Fraction(b, d))}

@@ -16,7 +16,7 @@ from .geodesics import AltPath, class_members, geodesic_representatives, path_eq
 from .gt import embed, gt_vectors, restrict
 from .labels import AltLabel, dim_alt, labels, level_dimension_total
 from .partitions import Partition, partitions_of, self_conjugate_partitions
-from .scalars import Scalar
+from .scalars import I, ONE, Scalar
 from .tableaux import StandardTableau, enumerate_syt, reference_tableau
 from .yor import GTVector
 
@@ -69,15 +69,15 @@ class Report:
 
 # the anchor-tableau coefficients for every self-conjugate shape with n < 10
 FOURTH_ROOT_TABLE = {
-    "2,1": 1j,
-    "2,2": 1j,
-    "3,1,1": complex(-1),
-    "3,2,1": complex(-1),
-    "4,1,1,1": -1j,
-    "4,2,1,1": -1j,
-    "3,3,2": -1j,
-    "3,3,3": -1j,
-    "5,1,1,1,1": complex(1),
+    "2,1": I,
+    "2,2": I,
+    "3,1,1": -ONE,
+    "3,2,1": -ONE,
+    "4,1,1,1": -I,
+    "4,2,1,1": -I,
+    "3,3,2": -I,
+    "3,3,3": -I,
+    "5,1,1,1,1": ONE,
 }
 
 
@@ -153,7 +153,7 @@ def _phi_failure(shape: Partition) -> str | None:
     expected = FOURTH_ROOT_TABLE.get(str(shape))
     if expected is not None:
         got = associator.assoc_coeff(reference_tableau(shape))
-        if got.as_fourth_root() != expected:
+        if got != expected:
             return f"anchor coefficient {got}, expected {expected}"
     return None
 
@@ -197,7 +197,7 @@ def _mate_failure(
     if other._terms.keys() != base._terms.keys():
         return f"class of {p} has mismatched supports"
     ratio = other.coefficient(t0) * base.coefficient(t0).conjugate()
-    if ratio.as_fourth_root() is None:
+    if not ratio.is_fourth_root():
         return f"class of {p}: ratio {ratio} is not a unit"
     if any(other._terms[t] != c.times_fourth_root(ratio) for t, c in base._terms.items()):
         return f"class of {p}: members not proportional"
@@ -211,7 +211,7 @@ def _gt_failure(label: AltLabel) -> str | None:
     if len(paths) != dim_alt(label):
         return f"{len(paths)} classes, expected dimension {dim_alt(label)}"
     for p, v in zip(paths, vectors):
-        if any(c.as_fourth_root() is None for c in v._terms.values()):
+        if not all(c.is_fourth_root() for c in v._terms.values()):
             return f"non-unit coefficient on {p}"
     # every term's partial shapes must follow the path up to conjugation;
     # one walk of each tableau's word keeps the row counts of its prefix

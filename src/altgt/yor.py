@@ -33,8 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition
-from .scalars import ONE, ZERO, Scalar, sqrt_rational
+from .scalars import I, ONE, ZERO, Scalar, sqrt_rational
 from .tableaux import StandardTableau, enumerate_syt
+
+
+# how GTVector.latex writes the four roots of unity as coefficients
+_UNIT_LATEX = {ONE: "", -ONE: "-", I: "i ", -I: "-i "}
 
 
 class GTVector:
@@ -146,6 +150,21 @@ class GTVector:
         if not self._terms:
             return "0"
         return " + ".join(f"({c})*v[{t}]" for t, c in self.items())
+
+    def latex(self) -> str:
+        """The vector as c v_{T} + ..., with a fourth root of unity written as
+        a sign or i and any other coefficient bracketed when it is a sum."""
+        if not self._terms:
+            return "0"
+        terms = []
+        for t, c in self.items():
+            coeff = _UNIT_LATEX.get(c)
+            if coeff is None:
+                coeff = c.latex()
+                if "+" in coeff[1:] or "-" in coeff[1:]:
+                    coeff = f"\\left({coeff}\\right)"
+            terms.append(f"{coeff}v_{{{t.latex()}}}")
+        return " + ".join(terms)
 
     def __repr__(self) -> str:
         return f"GTVector({self._shape!r}, {dict(self.items())!r})"

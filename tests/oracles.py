@@ -172,3 +172,84 @@ def canonical_terms(value) -> tuple:
             d = lcm(re.denominator, im.denominator)
             out.append((s, ((re * d).numerator, (im * d).numerator, d)))
     return tuple(out)
+
+
+# The text and LaTeX renderings of a Scalar, read off its terms(): one
+# coefficient formatter and one loop over the terms per rendering.
+
+
+def _reference_text_coefficient(c: tuple[int, int, int]) -> str:
+    """A nonzero triple as text: 1/2, -i, 3/2*i, 1+i."""
+    a, b, d = c
+    re, im = Fraction(a, d), Fraction(b, d)
+    if not b:
+        return str(re)
+    im_part = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    if not a:
+        return im_part
+    joiner = "" if im_part.startswith("-") else "+"
+    return f"{re}{joiner}{im_part}"
+
+
+def _reference_latex_coefficient(c: tuple[int, int, int]) -> str:
+    """A nonzero triple as LaTeX: \\frac{1}{2}, -i, 1+2i."""
+    a, b, d = c
+
+    def frac(n: int, unit: str = "") -> str:
+        f = Fraction(abs(n), d)
+        if f.denominator != 1:
+            body = f"\\frac{{{f.numerator}}}{{{f.denominator}}}{unit}"
+        else:
+            body = unit if f == 1 and unit else f"{f.numerator}{unit}"
+        return ("-" if n < 0 else "") + body
+
+    if not b:
+        return frac(a)
+    im_part = frac(b, "i")
+    if not a:
+        return im_part
+    joiner = "" if im_part.startswith("-") else "+"
+    return f"{frac(a)}{joiner}{im_part}"
+
+
+def reference_text(x) -> str:
+    terms = x.terms()
+    if not terms:
+        return "0"
+    parts = []
+    for q, c in terms:
+        cs = _reference_text_coefficient(c)
+        mixed = "+" in cs[1:] or "-" in cs[1:]
+        wrapped = f"({cs})" if mixed else cs
+        if q == 1:
+            parts.append(wrapped if len(terms) > 1 else cs)
+        elif c == (1, 0, 1):
+            parts.append(f"sqrt({q})")
+        elif c == (-1, 0, 1):
+            parts.append(f"-sqrt({q})")
+        else:
+            parts.append(f"{wrapped}*sqrt({q})")
+    return " + ".join(parts)
+
+
+def reference_latex(x) -> str:
+    terms = x.terms()
+    if not terms:
+        return "0"
+    parts = []
+    for q, c in terms:
+        cl = _reference_latex_coefficient(c)
+        mixed = "+" in cl[1:] or "-" in cl[1:]
+        if q == 1:
+            parts.append(f"\\left({cl}\\right)" if mixed and len(terms) > 1 else cl)
+        else:
+            rad = f"\\sqrt{{{q}}}"
+            if c == (1, 0, 1):
+                parts.append(rad)
+            elif c == (-1, 0, 1):
+                parts.append("-" + rad)
+            elif mixed:
+                parts.append(f"\\left({cl}\\right){rad}")
+            else:
+                parts.append(f"{cl}{rad}")
+    return " + ".join(parts)

@@ -209,6 +209,9 @@ def test_gt_latex(capsys):
     code, out, _ = run_cli(capsys, "gt", "2,1^+", "--format", "latex")
     assert code == 0
     assert out == "u_{(2),(2,1)^+} = v_{12,3} + i v_{13,2}\n"
+    code, out, _ = run_cli(capsys, "gt", "2,1^-", "--normalize", "--format", "latex")
+    assert code == 0
+    assert out == "u_{(2),(2,1)^-} = \\frac{1}{2}\\sqrt{2}v_{12,3} + -\\frac{1}{2}i\\sqrt{2}v_{13,2}\n"
 
 
 def test_gt_json(capsys):

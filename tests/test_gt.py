@@ -139,7 +139,7 @@ def test_coefficients_are_fourth_roots():
         for label in labels(n):
             for p in enumerate_paths(label):
                 for _, c in gt_vector(p).items():
-                    assert c.as_fourth_root() is not None
+                    assert c.is_fourth_root()
 
 
 def test_basis_shape_and_orthogonality():

@@ -22,6 +22,8 @@ from oracles import (
     raw_product,
     raw_sum,
     raw_terms,
+    reference_latex,
+    reference_text,
 )
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -87,20 +89,20 @@ def test_conjugation_flips_i():
 
 
 def test_fourth_root_detection():
-    assert ONE.as_fourth_root() == 1
-    assert (-ONE).as_fourth_root() == -1
-    assert I.as_fourth_root() == 1j
-    assert (-I).as_fourth_root() == -1j
-    assert Scalar.rational(2).as_fourth_root() is None
-    assert sqrt_rational(2).as_fourth_root() is None
-    assert ZERO.as_fourth_root() is None
-    assert (I * I).as_fourth_root() == -1
+    assert ONE.is_fourth_root()
+    assert (-ONE).is_fourth_root()
+    assert I.is_fourth_root()
+    assert (-I).is_fourth_root()
+    assert not Scalar.rational(2).is_fourth_root()
+    assert not sqrt_rational(2).is_fourth_root()
+    assert not ZERO.is_fourth_root()
+    assert (I * I).is_fourth_root() and I * I == -ONE
     half = Fraction(1, 2)
-    assert Scalar.rational(half).as_fourth_root() is None
-    assert Scalar.gaussian(0, half).as_fourth_root() is None
-    assert Scalar.gaussian(1, 1).as_fourth_root() is None
-    assert Scalar.gaussian(-1, -1).as_fourth_root() is None
-    assert (ONE + sqrt_rational(2)).as_fourth_root() is None
+    assert not Scalar.rational(half).is_fourth_root()
+    assert not Scalar.gaussian(0, half).is_fourth_root()
+    assert not Scalar.gaussian(1, 1).is_fourth_root()
+    assert not Scalar.gaussian(-1, -1).is_fourth_root()
+    assert not (ONE + sqrt_rational(2)).is_fourth_root()
 
 
 def test_i_power_cycle():
@@ -165,6 +167,12 @@ def test_latex_rendering():
     assert (Scalar.gaussian(1, 1) + sqrt_rational(2)).latex() == "\\left(1+i\\right) + \\sqrt{2}"
     mixed = Scalar.gaussian(0, 2) + Scalar.gaussian(Fraction(-1, 3), 1) * sqrt_rational(5)
     assert mixed.latex() == "2i + \\left(-\\frac{1}{3}+i\\right)\\sqrt{5}"
+
+
+@given(scalars())
+def test_rendering_matches_reference(x):
+    assert str(x) == reference_text(x)
+    assert x.latex() == reference_latex(x)
 
 
 def test_json_round_trip():

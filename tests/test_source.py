@@ -22,14 +22,14 @@ def test_library_has_no_assert_statements():
 
 
 def test_library_has_no_floats():
-    # exact arithmetic only: no float literal and no float(...) call; complex
-    # literals such as 1j, used as labels of the fourth roots, are allowed
+    # exact arithmetic only: no float or imaginary literal and no float(...)
+    # or complex(...) call
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCE
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Constant) and type(node.value) is float)
+        if (isinstance(node, ast.Constant) and type(node.value) in (float, complex))
         or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "float")
+            and node.func.id in ("float", "complex"))
     ]
     assert found == []

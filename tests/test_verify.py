@@ -140,6 +140,18 @@ def test_fault_injection_associator(monkeypatch):
     assert {c.subject for c in report.failures()} == {"shape 2,1", "shape 2,2"}
 
 
+def test_fault_injection_anchor(monkeypatch):
+    # a negated intertwiner keeps every identity but the anchor coefficients
+    orig = associator.assoc_coeff
+    monkeypatch.setattr(associator, "assoc_coeff", lambda t: -orig(t))
+    bad = verify_associator(5).failures()
+    assert [(c.subject, c.witness) for c in bad] == [
+        ("shape 2,1", "anchor coefficient -i, expected i"),
+        ("shape 2,2", "anchor coefficient -i, expected i"),
+        ("shape 3,1,1", "anchor coefficient 1, expected -1"),
+    ]
+
+
 def test_fault_injection_gt(monkeypatch):
     monkeypatch.setattr(associator, "assoc_coeff", unsigned_coeff)
     report = verify_gt(AltLabel.parse("2,1^+"))

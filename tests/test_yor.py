@@ -4,7 +4,7 @@ import pytest
 
 from altgt.associator import apply_phi
 from altgt.partitions import Partition, partitions_of
-from altgt.scalars import ONE, Scalar, sqrt_rational
+from altgt.scalars import I, ONE, Scalar, sqrt_rational
 from altgt.tableaux import StandardTableau, enumerate_syt
 from altgt.yor import GTVector, act_simple, act_word, rep_matrix
 from altgt.gt import embed, restrict
@@ -63,14 +63,30 @@ def test_library_results_keep_the_trusted_form():
 
 
 def test_inner_product_is_hermitian():
-    from altgt.scalars import I
-
     t1, t2 = enumerate_syt(Partition((2, 1)))
     v = GTVector(Partition((2, 1)), {t1: ONE, t2: I})
     w = GTVector(Partition((2, 1)), {t1: I})
     assert v.inner(w) == I
     assert w.inner(v) == -I  # conjugate of the above
     assert v.norm_squared() == Scalar.rational(2)
+
+
+def test_vector_latex():
+    shape = Partition((3, 1))
+    t1, t2, t3 = enumerate_syt(shape)
+    # the four roots are written bare, and i keeps a space before v
+    units = GTVector(shape, {t1: ONE, t2: -I, t3: I})
+    assert units.latex() == "v_{123,4} + -i v_{124,3} + i v_{134,2}"
+    assert (-units).latex() == "-v_{123,4} + i v_{124,3} + -i v_{134,2}"
+    mixed = GTVector(shape, {t1: Scalar.gaussian(1, 1), t2: -ONE, t3: Scalar.gaussian(1, -1)})
+    assert mixed.latex() == "\\left(1+i\\right)v_{123,4} + -v_{124,3} + \\left(1-i\\right)v_{134,2}"
+    half_sqrt2 = sqrt_rational(2).inverse()
+    normalized = GTVector(shape, {t1: half_sqrt2, t2: -I * half_sqrt2, t3: ONE + sqrt_rational(2)})
+    assert normalized.latex() == (
+        "\\frac{1}{2}\\sqrt{2}v_{123,4} + -\\frac{1}{2}i\\sqrt{2}v_{124,3}"
+        " + \\left(1 + \\sqrt{2}\\right)v_{134,2}"
+    )
+    assert GTVector.zero(shape).latex() == "0"
 
 
 def test_same_row_fixes():
