@@ -2,16 +2,22 @@
 
 A path records the labels at levels 2..n that an irreducible representation
 passes through under successive restriction.  Two paths are equivalent when
-they are componentwise equivalent (equal or conjugate at every level); an
-equivalence class has exactly 2^(r+1) members, where r counts the descents
-from a signed label to an unsigned one along the path.  `class_members` lists
-them; `class_size` counts them from r alone.
+they are componentwise equivalent (equal or conjugate at every level).  A
+path splits into runs, maximal blocks of unsigned labels: one starts at
+level 2, and a new one at each step from a signed label up to an unsigned
+one.  A class member conjugates each run as a whole or not at all and keeps
+every signed label, so a class of a path with r + 1 runs has 2^(r+1)
+members.  `class_members` lists them; `class_size` counts the runs.
 
 Each class contributes one basis vector, so picking one representative per
 class ending at a given label enumerates a basis.  The representative is the
 class member, still ending at that exact label, whose label sequence is
 smallest position by position: partitions compared in rev-lex order, + before
-- on signs.  Path text joins labels with ";": "2;2,1^+;3,1;3,1,1^+;4,1,1".
+- on signs.  Two members first differ at the first label of some run, so the
+representative is the member whose every closed run (one followed by a signed
+label) starts at its canonical, rev-lex earlier label; the run holding an
+unsigned endpoint is fixed by the endpoint.  Path text joins labels with ";":
+"2;2,1^+;3,1;3,1,1^+;4,1,1".
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ class AltPath:
     """A branching path: one label per level from 2 up to its endpoint.
 
     The constructor and `parse` check every level and every link.  The paths
-    this module grows from checked links, in `extended`, `class_members` and
-    `geodesic_representatives`, are built by `_trusted`, which checks nothing.
+    this module grows from checked links, in `enumerate_paths`,
+    `class_members` and `geodesic_representatives`, are built by `_trusted`,
+    which checks nothing.
     """
 
     __slots__ = ("_labels",)
@@ -68,12 +75,6 @@ class AltPath:
     def n(self) -> int:
         return self._labels[-1].n
 
-    def extended(self, label: AltLabel) -> "AltPath":
-        """This path one level longer; only the new link is checked."""
-        if not in_dagger(self.endpoint, label):
-            raise ValueError(f"{self.endpoint} does not branch from {label}")
-        return AltPath._trusted(self._labels + (label,))
-
     def sort_key(self):
         return tuple(label.sort_key() for label in self._labels)
 
@@ -107,7 +108,7 @@ def enumerate_paths(label: AltLabel) -> tuple[AltPath, ...]:
     if label.n == 2:
         return (AltPath((label,)),)
     found = [
-        shorter.extended(label)
+        AltPath._trusted(shorter.labels + (label,))
         for below in dagger_down_set(label)
         for shorter in enumerate_paths(below)
     ]
@@ -120,11 +121,6 @@ def path_equivalent(a: AltPath, b: AltPath) -> bool:
     if len(a) != len(b):
         raise ValueError(f"paths of different lengths {len(a)} and {len(b)}")
     return all(equivalent(x, y) for x, y in zip(a, b))
-
-
-def class_signature(path: AltPath) -> tuple[AltLabel, ...]:
-    """Canonical form of each position; equal iff paths are equivalent."""
-    return tuple(canonical_label(label) for label in path)
 
 
 def class_members(path: AltPath) -> tuple[AltPath, ...]:
@@ -142,38 +138,41 @@ def class_members(path: AltPath) -> tuple[AltPath, ...]:
     return tuple(sorted(map(AltPath._trusted, prefixes), key=AltPath.sort_key))
 
 
-def class_size(path: AltPath) -> int:
-    """The number of members of the path's class, 2^(r+1), without listing them.
+def _run_starts(path: AltPath) -> list[AltLabel]:
+    """The first label of each run: the level-2 label, and each unsigned
+    label one level above a signed one."""
+    labels = path.labels
+    return [labels[0]] + [
+        above for below, above in zip(labels, labels[1:])
+        if below.is_signed() and not above.is_signed()
+    ]
 
-    The path splits into r + 1 maximal runs of unsigned labels, one from
-    level 2 and one after each signed-to-unsigned descent.  A member
-    conjugates each run as a whole or not at all, independently of the
-    others, and keeps every signed label.
-    """
-    r = sum(
-        below.is_signed() and not above.is_signed()
-        for below, above in zip(path.labels, path.labels[1:])
-    )
-    return 2 ** (r + 1)
+
+def class_size(path: AltPath) -> int:
+    """The number of members of the path's class, 2^(r+1), without listing
+    them: a member conjugates each of the r + 1 runs independently."""
+    return 2 ** len(_run_starts(path))
 
 
 @cached_upward(dagger_down_set, 2)
 def geodesic_representatives(label: AltLabel) -> tuple[AltPath, ...]:
-    """One path per equivalence class ending at this exact label.
+    """One path per equivalence class ending at this exact label, sorted.
 
-    A minimal class member truncates to a minimal member one level down, so
-    the representatives extend those of the down set; once sorted, the first
-    appearance of each class is its minimal member under the documented order.
+    A representative truncates to a representative one level down, so each
+    extends one of the down set's.  An extension is kept unless it closes a
+    run, a signed label over an unsigned one, that starts at a non-canonical
+    label.
     """
     if label.n == 2:
         return (AltPath((label,)),)
-    found = [
-        AltPath._trusted(shorter.labels + (label,))
-        for below in dagger_down_set(label)
-        for shorter in geodesic_representatives(below)
-    ]
+    found = []
+    for below in dagger_down_set(label):
+        closes_run = label.is_signed() and not below.is_signed()
+        for shorter in geodesic_representatives(below):
+            if closes_run:
+                start = _run_starts(shorter)[-1]
+                if canonical_label(start) != start:
+                    continue
+            found.append(AltPath._trusted(shorter.labels + (label,)))
     found.sort(key=AltPath.sort_key)
-    reps = {}
-    for path in found:
-        reps.setdefault(class_signature(path), path)
-    return tuple(reps.values())
+    return tuple(found)

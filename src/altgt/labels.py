@@ -32,7 +32,7 @@ class AltLabel:
 
     The sort key (rev-lex partition, then + before -) is computed once here,
     since paths are sorted by the keys of all their labels, and so is the
-    hash, which class signatures and the label-keyed caches take.
+    hash, which the label-keyed caches take.
     """
 
     __slots__ = ("_partition", "_sign", "_sort_key", "_hash")
@@ -133,11 +133,7 @@ def equivalent(a: AltLabel, b: AltLabel) -> bool:
     """Same representation: equal, or unsigned conjugates of each other."""
     if a.n != b.n:
         raise ValueError(f"labels of different sizes {a.n} and {b.n}")
-    if a == b:
-        return True
-    if a.is_signed() or b.is_signed():
-        return False
-    return a.partition.conjugate() == b.partition
+    return canonical_label(a) == canonical_label(b)
 
 
 def in_dagger(below: AltLabel, above: AltLabel) -> bool:

@@ -120,31 +120,14 @@ class Partition:
         partition it covers lacks."""
         return self._corners()[smaller]
 
-    def self_conjugate_cover_partner(self) -> tuple["Partition", str]:
-        """The unique self-conjugate partition one diagonal cell away.
-
-        Returns (partner, role) where role is "smaller" or "larger" for the
-        position this partition occupies in the pair.  Defined for
-        self-conjugate partitions; the single-cell partition is special-cased
-        with partner (2,1).
-        """
+    def self_conjugate_below(self) -> "Partition | None":
+        """The self-conjugate partition one diagonal cell below this one, or
+        None.  Defined for self-conjugate partitions, where removing the
+        diagonal corner is the only removal that keeps the partition
+        self-conjugate."""
         if not self.is_self_conjugate():
             raise ValueError(f"{self} is not self-conjugate")
-        if self._parts == (1,):
-            return Partition((2, 1)), "smaller"
-        # removing the diagonal corner is the only removal that keeps the
-        # partition self-conjugate
-        for below in self.down_set():
-            if below.is_self_conjugate():
-                return below, "larger"
-        d = self.diagonal_length()
-        # add the cell (d+1, d+1)
-        parts = list(self._parts)
-        if len(parts) == d:
-            parts.append(1)
-        else:
-            parts[d] += 1
-        return Partition(parts), "smaller"
+        return next((below for below in self._corners() if below.is_self_conjugate()), None)
 
     def canonical_pair_rep(self) -> "Partition":
         """The rev-lex earlier of this partition and its conjugate."""

@@ -201,14 +201,14 @@ def row_superstandard(shape: Partition) -> StandardTableau:
 def reference_tableau(shape: Partition) -> StandardTableau:
     """The anchor tableau of a self-conjugate shape.
 
-    The smaller member of a self-conjugate cover pair uses its row
-    superstandard filling; the larger member extends the smaller one's
-    anchor by the final box on the main diagonal.
+    A shape with a self-conjugate partition one diagonal cell below extends
+    that partition's anchor by the final box on the main diagonal; any
+    other shape uses its row superstandard filling.
     """
-    partner, role = shape.self_conjugate_cover_partner()
-    if role == "smaller":
+    below = shape.self_conjugate_below()
+    if below is None:
         return row_superstandard(shape)
-    return append_box(reference_tableau(partner), shape)
+    return append_box(reference_tableau(below), shape)
 
 
 def permutation_sign(tableau: StandardTableau) -> int:

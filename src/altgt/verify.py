@@ -171,8 +171,8 @@ def verify_associator(max_n: int) -> Report:
         # cover compatibility: the intertwiner commutes with adding the
         # final diagonal box
         for shape in self_conjugate_partitions(n):
-            small, role = shape.self_conjugate_cover_partner()
-            if role != "larger":
+            small = shape.self_conjugate_below()
+            if small is None:
                 continue
             failure = None
             for t in enumerate_syt(small):
@@ -302,4 +302,4 @@ def verify_gt_range(max_n: int) -> Report:
         report.checks.append(_check("gt", f"level {n} dimension count", failure))
         for label in labels(n):
             report.extend(verify_gt(label))
-    return Report(report.checks)
+    return report

@@ -7,6 +7,7 @@ pairs on unreduced radicands.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import isqrt, lcm
 
@@ -96,6 +97,20 @@ def brute_force_class_members(path: AltPath) -> list[AltPath]:
         except ValueError:
             pass  # some link does not branch
     return sorted(members, key=AltPath.sort_key)
+
+
+def class_signature(path: AltPath) -> tuple:
+    """One key per level, equal for equal or conjugate labels: a signed
+    label's partition and sign, an unsigned partition's set with its raw
+    transpose.  Equal iff the paths are equivalent."""
+    return tuple(map(_label_class, path))
+
+
+@lru_cache(maxsize=None)
+def _label_class(label: AltLabel):
+    if label.is_signed():
+        return label.partition, label.sign
+    return frozenset({label.partition, transpose_cells(label.partition)})
 
 
 def branch_count_r(path: AltPath) -> int:

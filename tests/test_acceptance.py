@@ -12,7 +12,6 @@ from altgt.associator import assoc_coeff
 from altgt.geodesics import (
     AltPath,
     class_members,
-    class_signature,
     enumerate_paths,
     path_equivalent,
 )
@@ -23,7 +22,7 @@ from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, reference_tableau
 from altgt.verify import verify_associator, verify_gt, verify_gt_range, verify_yor
 from altgt.yor import GTVector
-from oracles import branch_count_r, brute_force_syt
+from oracles import branch_count_r, brute_force_syt, class_signature
 from test_verify import column_flip, unsigned_coeff
 
 

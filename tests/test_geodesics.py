@@ -1,16 +1,16 @@
 import pytest
 
+from altgt import geodesics
 from altgt.geodesics import (
     AltPath,
     class_members,
-    class_signature,
     class_size,
     enumerate_paths,
     geodesic_representatives,
     path_equivalent,
 )
 from altgt.labels import AltLabel, dim_alt, labels
-from oracles import branch_count_r, brute_force_class_members
+from oracles import branch_count_r, brute_force_class_members, class_signature
 
 
 def path(text):
@@ -45,13 +45,13 @@ def test_truncated_and_extended():
     p = path("2;3;3,1;4,1;4,1,1")
     shorter = AltPath(p.labels[:-1])
     assert str(shorter) == "2;3;3,1;4,1"
-    assert shorter.extended(AltLabel.parse("4,1,1")) == p
+    assert AltPath(shorter.labels + (AltLabel.parse("4,1,1"),)) == p
     with pytest.raises(ValueError):
         AltPath(path("2").labels[:-1])
     with pytest.raises(ValueError):
-        p.extended(AltLabel.parse("4,1,1"))  # wrong size for the next level
+        AltPath(p.labels + (AltLabel.parse("4,1,1"),))  # wrong size for the next level
     with pytest.raises(ValueError):
-        shorter.extended(AltLabel.parse("3,3"))  # not a branching step
+        AltPath(shorter.labels + (AltLabel.parse("3,3"),))  # not a branching step
 
 
 def test_enumerate_small():
@@ -141,14 +141,15 @@ def test_representative_counts_match_dimension():
 
 
 def test_geodesic_representatives_are_minimal():
-    label = AltLabel.parse("4,1,1")
-    reps = geodesic_representatives(label)
-    assert len(reps) == 10
-    assert len({class_signature(p) for p in reps}) == 10
-    for p in reps:
-        assert p.endpoint == label
-        members = [q for q in class_members(p) if q.endpoint == label]
-        assert p == min(members, key=AltPath.sort_key)
+    assert len(geodesic_representatives(AltLabel.parse("4,1,1"))) == 10
+    for n in range(2, 10):
+        for label in labels(n):
+            reps = geodesic_representatives(label)
+            assert len({class_signature(p) for p in reps}) == len(reps)
+            for p in reps:
+                assert p.endpoint == label
+                members = [q for q in class_members(p) if q.endpoint == label]
+                assert p == min(members, key=AltPath.sort_key)
 
 
 def test_representatives_small_frozen():
@@ -160,16 +161,46 @@ def test_representatives_small_frozen():
     ]
 
 
-def test_representatives_match_first_of_class_filter():
-    # the upward walk against the first member of each class among all paths
-    for n in range(2, 9):
+def first_of_class_mismatches(max_n):
+    """Labels with n <= max_n whose representatives differ from the first
+    member of each class among all paths ending there."""
+    mismatched = []
+    for n in range(2, max_n + 1):
         for label in labels(n):
             expected, seen = [], set()
             for p in enumerate_paths(label):
                 if class_signature(p) not in seen:
                     seen.add(class_signature(p))
                     expected.append(p)
-            assert list(geodesic_representatives(label)) == expected
+            if list(geodesic_representatives(label)) != expected:
+                mismatched.append(label)
+    return mismatched
+
+
+def test_representatives_match_first_of_class_filter():
+    assert first_of_class_mismatches(10) == []
+
+
+def test_first_of_class_filter_catches_a_rule_on_run_ends(monkeypatch):
+    # testing the last label of each closed run instead of its first still
+    # keeps one member per class, so only the representative oracles and
+    # the golden digests see it; it first picks another member at n = 10
+    def run_ends(p):
+        path_labels = p.labels
+        return [
+            below for below, above in zip(path_labels, path_labels[1:] + (None,))
+            if not below.is_signed() and (above is None or above.is_signed())
+        ]
+
+    geodesics.geodesic_representatives.cache_clear()
+    monkeypatch.setattr(geodesics, "_run_starts", run_ends)
+    try:
+        mismatched = first_of_class_mismatches(10)
+        assert [str(label) for label in mismatched] == ["4,3,2,1^+", "4,3,2,1^-"]
+        for label in mismatched:
+            assert len(geodesic_representatives(label)) == dim_alt(label)
+    finally:
+        geodesics.geodesic_representatives.cache_clear()
 
 
 def test_class_members_match_product_filter():

@@ -88,38 +88,37 @@ def test_cached_down_set_matches_corner_removal():
 
 
 def test_cover_partner_roles():
-    assert Partition((2, 1)).self_conjugate_cover_partner() == (Partition((2, 2)), "smaller")
-    assert Partition((2, 2)).self_conjugate_cover_partner() == (Partition((2, 1)), "larger")
-    assert Partition((3, 1, 1)).self_conjugate_cover_partner() == (
-        Partition((3, 2, 1)),
-        "smaller",
-    )
-    assert Partition((3, 2, 1)).self_conjugate_cover_partner() == (
-        Partition((3, 1, 1)),
-        "larger",
-    )
-    assert Partition((1,)).self_conjugate_cover_partner() == (Partition((2, 1)), "smaller")
+    # each self-conjugate cover pair, read from its larger member
+    assert Partition((2, 2)).self_conjugate_below() == Partition((2, 1))
+    assert Partition((3, 2, 1)).self_conjugate_below() == Partition((3, 1, 1))
+    assert Partition((2, 1)).self_conjugate_below() is None
+    assert Partition((3, 1, 1)).self_conjugate_below() is None
+    assert Partition((1,)).self_conjugate_below() is None
     with pytest.raises(ValueError):
-        Partition((3, 1)).self_conjugate_cover_partner()
+        Partition((3, 1)).self_conjugate_below()
 
 
 def test_cover_partner_consistency():
-    # partners pair up with complementary roles, one diagonal box apart
+    # every self-conjugate partition past the single cell lies in exactly one
+    # pair, the larger one diagonal box above the smaller
     for n in range(1, 13):
         for shape in self_conjugate_partitions(n):
-            partner, role = shape.self_conjugate_cover_partner()
-            assert partner.is_self_conjugate()
+            small = shape.self_conjugate_below()
+            above = [
+                large for large in self_conjugate_partitions(n + 1)
+                if large.self_conjugate_below() == shape
+            ]
             if shape == Partition((1,)):
-                assert (partner, role) == (Partition((2, 1)), "smaller")
+                assert (small, above) == (None, [])
                 continue
-            assert abs(partner.n - shape.n) == 1
-            back, back_role = partner.self_conjugate_cover_partner()
-            assert back == shape
-            assert {role, back_role} == {"smaller", "larger"}
-            small, large = (shape, partner) if role == "smaller" else (partner, shape)
-            d = large.diagonal_length()
-            assert small.diagonal_length() == d - 1
-            assert large.covers(small)
+            assert (small is None) == (len(above) == 1)
+            assert len(above) <= 1
+            if small is not None:
+                assert small.is_self_conjugate()
+                assert small.self_conjugate_below() is None
+                assert small.n == shape.n - 1
+                assert small.diagonal_length() == shape.diagonal_length() - 1
+                assert shape.covers(small)
 
 
 def test_canonical_pair_rep():
