@@ -13,8 +13,12 @@ identity, and the map anticommutes with every adjacent transposition.
 
 from __future__ import annotations
 
+from array import array
+from functools import lru_cache
+
+from .partitions import Partition
 from .scalars import Scalar, i_power
-from .tableaux import StandardTableau, permutation_sign
+from .tableaux import StandardTableau, enumerate_syt, permutation_sign
 from .yor import GTVector
 
 
@@ -31,7 +35,19 @@ def assoc_coeff(tableau: StandardTableau) -> Scalar:
     return root if sign == 1 else -root
 
 
+@lru_cache(maxsize=None)
+def _conjugate_table(shape: Partition) -> array:
+    """The rank in enumerate_syt(shape.conjugate()) of the transpose of each
+    tableau of the shape, by rank."""
+    rank = {t: k for k, t in enumerate(enumerate_syt(shape.conjugate()))}
+    return array("l", (rank[t.conjugate()] for t in enumerate_syt(shape)))
+
+
 def apply_phi(vec: GTVector) -> GTVector:
     """Linear extension of v_T -> assoc_coeff(T) * v_{T transposed}."""
-    out = {t.conjugate(): c.times_fourth_root(assoc_coeff(t)) for t, c in vec._terms.items()}
+    basis, conjugates = enumerate_syt(vec.shape), _conjugate_table(vec.shape)
+    out = {
+        conjugates[r]: c.times_fourth_root(assoc_coeff(basis[r]))
+        for r, c in vec._terms.items()
+    }
     return GTVector._trusted(vec.shape, out)

@@ -21,40 +21,59 @@ terms.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterator
+from functools import lru_cache
 
 from .associator import apply_phi
 from .geodesics import AltPath, geodesic_representatives
 from .labels import AltLabel, dim_alt
 from .partitions import Partition
-from .scalars import sqrt_rational
-from .tableaux import append_box, enumerate_syt, remove_box
+from .scalars import ONE, sqrt_rational
+from .tableaux import append_box, enumerate_syt
 from .yor import GTVector
+
+
+@lru_cache(maxsize=None)
+def _cover_map(shape: Partition) -> dict[Partition, array]:
+    """For each partition one box below the shape, the rank in
+    enumerate_syt(shape) of each of its tableaux, by rank, with box n added.
+
+    Box n goes to the same place in the row word of every tableau of the
+    smaller shape, so adding it keeps row-word order and each array
+    increases.
+    """
+    rank = {t: k for k, t in enumerate(enumerate_syt(shape))}
+    return {
+        below: array("l", (rank[append_box(t, shape)] for t in enumerate_syt(below)))
+        for below in shape.down_set()
+    }
 
 
 def embed(vec: GTVector, shape: Partition) -> GTVector:
     """Include a vector into a covering shape by adding the final box."""
     if not shape.covers(vec.shape):
         raise ValueError(f"shape {shape} does not cover {vec.shape}")
-    out = {append_box(t, shape): c for t, c in vec._terms.items()}
-    return GTVector._trusted(shape, out)
+    ranks = _cover_map(shape)[vec.shape]
+    return GTVector._trusted(shape, {ranks[r]: c for r, c in vec._terms.items()})
 
 
 def restrict(vec: GTVector, shape: Partition) -> GTVector:
     """Keep the terms whose tableaux shrink to the given shape; drop the last box.
 
     This is the left inverse of embed: terms whose prefix is a different
-    member of the down set are discarded.
+    member of the down set are discarded.  The cover map increases, so a
+    bisection finds each term's rank below.
     """
-    n = vec.shape.n
     if not vec.shape.covers(shape):
         raise ValueError(f"{shape} is not below {vec.shape}")
-    row = vec.shape.cover_row(shape)
-    out = {
-        remove_box(tableau, shape): coeff
-        for tableau, coeff in vec._terms.items()
-        if tableau.position(n)[0] == row
-    }
+    ranks = _cover_map(vec.shape)[shape]
+    out = {}
+    for rank, coeff in vec._terms.items():
+        below = bisect_left(ranks, rank)
+        if below < len(ranks) and ranks[below] == rank:
+            out[below] = coeff
     return GTVector._trusted(shape, out)
 
 
@@ -79,7 +98,7 @@ def gt_vectors(paths, normalize: bool = False) -> Iterator[GTVector]:
         del stack[keep:]
         for head in labels[keep:]:
             if not stack:
-                vec = GTVector.basis(enumerate_syt(head.partition)[0])
+                vec = GTVector._trusted(head.partition, {0: ONE})
             else:
                 vec = embed(stack[-1][1], head.partition)
                 if head.is_signed() and not stack[-1][0].is_signed():

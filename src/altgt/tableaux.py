@@ -22,9 +22,9 @@ class StandardTableau:
     item k - 1 of the word is the 0-based row holding entry k.
 
     The constructor and `parse` check that the rows form a standard tableau.
-    `append_box`, `remove_box`, `conjugate` and `swap_adjacent` derive a
-    tableau from one that is already valid, so they build it through
-    `_trusted`, which skips the checks.
+    `append_box`, `conjugate` and `swap_adjacent` derive a tableau from one
+    that is already valid, so they build it through `_trusted`, which skips
+    the checks.
     """
 
     __slots__ = ("_word", "_shape")
@@ -161,12 +161,6 @@ def append_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:
     box n; the caller has checked the cover."""
     row = shape.cover_row(tableau.shape)
     return StandardTableau._trusted(tableau._word + (row,), shape)
-
-
-def remove_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:
-    """Delete box n from a tableau whose first n-1 entries fill the given
-    shape; the caller has checked that they do."""
-    return StandardTableau._trusted(tableau._word[:-1], shape)
 
 
 @cached_upward(Partition.down_set, 1)

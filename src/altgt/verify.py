@@ -16,8 +16,8 @@ from .geodesics import AltPath, class_members, geodesic_representatives, path_eq
 from .gt import embed, gt_vectors, restrict
 from .labels import AltLabel, dim_alt, labels, level_dimension_total
 from .partitions import Partition, partitions_of, self_conjugate_partitions
-from .scalars import I, ONE, Scalar
-from .tableaux import StandardTableau, enumerate_syt, reference_tableau
+from .scalars import I, ONE, ZERO, Scalar
+from .tableaux import enumerate_syt, reference_tableau
 from .yor import GTVector
 
 
@@ -86,30 +86,28 @@ def _yor_failure(shape: Partition) -> str | None:
     checked on every tableau basis vector, or None."""
     n = shape.n
     basis = enumerate_syt(shape)
-    # columns[i][t] is the image of the basis vector of t under generator i
-    columns = {
-        i: {t: yor.act_simple(i, GTVector.basis(t)) for t in basis}
-        for i in range(1, n)
-    }
+    units = [GTVector._trusted(shape, {k: ONE}) for k in range(len(basis))]
+    # columns[i][k] is the image of the k-th basis vector under generator i
+    columns = {i: [yor.act_simple(i, e) for e in units] for i in range(1, n)}
     for i, column in columns.items():
-        for t, image in column.items():
-            for u, c in image.items():
-                if c != c.conjugate() or column[u].coefficient(t) != c:
-                    return f"generator {i} is not real symmetric at entry ({u}, {t})"
+        for k, image in enumerate(column):
+            for u, c in sorted(image._terms.items()):
+                if c != c.conjugate() or column[u]._terms.get(k, ZERO) != c:
+                    return f"generator {i} is not real symmetric at entry ({basis[u]}, {basis[k]})"
     for i, column in columns.items():
-        for t, image in column.items():
-            if yor.act_simple(i, image) != GTVector.basis(t):
-                return f"square of generator {i} is not the identity on {t}"
+        for k, image in enumerate(column):
+            if yor.act_simple(i, image) != units[k]:
+                return f"square of generator {i} is not the identity on {basis[k]}"
     for i in range(1, n - 1):
-        for t in basis:
-            lhs = yor.act_word((i, i + 1), columns[i][t])
-            if lhs != yor.act_word((i + 1, i), columns[i + 1][t]):
+        for k, t in enumerate(basis):
+            lhs = yor.act_word((i, i + 1), columns[i][k])
+            if lhs != yor.act_word((i + 1, i), columns[i + 1][k]):
                 return f"braid at {i} fails on {t}"
     for i in range(1, n):
         for j in range(i + 2, n):
-            for t in basis:
-                lhs = yor.act_simple(i, columns[j][t])
-                if lhs != yor.act_simple(j, columns[i][t]):
+            for k, t in enumerate(basis):
+                lhs = yor.act_simple(i, columns[j][k])
+                if lhs != yor.act_simple(j, columns[i][k]):
                     return f"commutation ({i},{j}) fails on {t}"
     return None
 
@@ -134,18 +132,17 @@ def _phi_failure(shape: Partition) -> str | None:
     to the identity has one +1 and one -1 eigenvector per transpose pair, so
     the pairing and square checks already force the even eigenspace split.
     """
-    images = {
-        t: associator.apply_phi(GTVector.basis(t)) for t in enumerate_syt(shape)
-    }
-    for t, image in images.items():
+    basis = enumerate_syt(shape)
+    units = [GTVector._trusted(shape, {k: ONE}) for k in range(len(basis))]
+    images = [associator.apply_phi(e) for e in units]
+    for t, image in zip(basis, images):
         if image.support() != (t.conjugate(),):
             return f"not a monomial pairing at {t}"
-    for t, image in images.items():
-        if associator.apply_phi(image) != GTVector.basis(t):
+    for t, e, image in zip(basis, units, images):
+        if associator.apply_phi(image) != e:
             return f"square is not the identity on {t}"
     for i in range(1, shape.n):
-        for t, image in images.items():
-            e = GTVector.basis(t)
+        for t, e, image in zip(basis, units, images):
             one = yor.act_simple(i, image)
             other = associator.apply_phi(yor.act_simple(i, e))
             if not (one + other).is_zero():
@@ -175,10 +172,10 @@ def verify_associator(max_n: int) -> Report:
             if small is None:
                 continue
             failure = None
-            for t in enumerate_syt(small):
-                lifted = embed(GTVector.basis(t), shape)
-                one = associator.apply_phi(lifted)
-                other = embed(associator.apply_phi(GTVector.basis(t)), shape)
+            for k, t in enumerate(enumerate_syt(small)):
+                e = GTVector._trusted(small, {k: ONE})
+                one = associator.apply_phi(embed(e, shape))
+                other = embed(associator.apply_phi(e), shape)
                 if one != other:
                     failure = f"disagrees at {t}"
                     break
@@ -187,16 +184,16 @@ def verify_associator(max_n: int) -> Report:
 
 
 def _mate_failure(
-    p: AltPath, base: GTVector, t0: StandardTableau, mate: AltPath, other: GTVector
+    p: AltPath, base: GTVector, first: int, mate: AltPath, other: GTVector
 ) -> str | None:
     """First failed check of one class mate against its representative, or
-    None.  t0 is the first tableau of base, whose coefficients are units, so
-    conjugating inverts them."""
+    None.  first is the lowest rank of base, whose coefficients are units,
+    so conjugating inverts them."""
     if not path_equivalent(p, mate):
         return f"class of {p}: member {mate} is not equivalent"
     if other._terms.keys() != base._terms.keys():
         return f"class of {p} has mismatched supports"
-    ratio = other.coefficient(t0) * base.coefficient(t0).conjugate()
+    ratio = other._terms[first] * base._terms[first].conjugate()
     if not ratio.is_fourth_root():
         return f"class of {p}: ratio {ratio} is not a unit"
     if any(other._terms[t] != c.times_fourth_root(ratio) for t, c in base._terms.items()):
@@ -215,10 +212,9 @@ def _gt_failure(label: AltLabel) -> str | None:
             return f"non-unit coefficient on {p}"
     # every term's partial shapes must follow the path up to conjugation;
     # one walk of each tableau's word keeps the row counts of its prefix
-    supports = [v.support() for v in vectors]
-    for p, support in zip(paths, supports):
+    for p, v in zip(paths, vectors):
         steps = [(step.n, step.partition.parts, step.partition.conjugate().parts) for step in p]
-        for t in support:
+        for t in v.support():
             counts = [1]
             for (n, parts, conjugate), row in zip(steps, t.word[1:]):
                 if row < len(counts):
@@ -259,10 +255,11 @@ def _gt_failure(label: AltLabel) -> str | None:
          if mate.endpoint == label),
         key=lambda pair: pair[0].sort_key(),
     )
+    firsts = [min(v._terms) for v in vectors]
     failed, witness = len(paths), None
     for (mate, r), other in zip(tagged, gt_vectors(mate for mate, _ in tagged)):
         if r < failed:
-            failure = _mate_failure(paths[r], vectors[r], supports[r][0], mate, other)
+            failure = _mate_failure(paths[r], vectors[r], firsts[r], mate, other)
             if failure is not None:
                 failed, witness = r, failure
     if witness is not None:

@@ -13,22 +13,35 @@ Maps are applied to vectors; rep_matrix is the one place a map becomes a
 matrix, a list of rows whose columns follow the enumeration order of the
 tableaux.
 
+Inside the library a vector maps the rank of each tableau, its index in
+``enumerate_syt(shape)`` (row-word order), to its coefficient.  Tableaux
+are the parse and print type: the ``GTVector`` constructor, ``basis`` and
+``coefficient`` turn a tableau into its rank, and ``items()`` and
+``support()`` turn ranks back into tableaux, in rank order.
+
 Only the public entry points check their input: the ``GTVector``
 constructor, which checks every tableau's shape and drops zero
 coefficients, and ``GTVector.basis``.  Every other vector is built from
 trusted terms through ``GTVector._trusted``: no stored coefficient is zero
-and every tableau has the vector's shape.  Only ``act_simple`` and ``+``/``-``
-can send two terms to the same tableau; they add through ``_accumulate``,
-which drops a term whose sum cancels.  Negation, ``scale``, ``apply_phi``,
-``embed`` and ``restrict`` are injective on tableaux, and a product of
-nonzero exact scalars is nonzero, so they cannot create a zero.  Terms are
-kept in no order: the maps above read the ``_terms`` dict directly, and
-``items()`` lists the terms in row-word order, the order of
-``enumerate_syt``, for everything that prints a vector.
+and every rank is below the shape's dimension.  Only ``act_simple`` and
+``+``/``-`` can send two terms to the same rank; they add through
+``_accumulate``, which drops a term whose sum cancels.  Negation,
+``scale``, ``apply_phi``, ``embed`` and ``restrict`` are injective on
+ranks, and a product of nonzero exact scalars is nonzero, so they cannot
+create a zero.
+
+The work that is the same for every vector of a shape is done once per
+shape, in lazily built cached tables that map ranks to ranks.
+``act_simple`` reads Young's rule above from ``_generator_table``;
+``associator.apply_phi`` reads each tableau's transpose from the
+conjugate table; ``gt.embed`` and ``gt.restrict`` read the ranks that
+adding box n gives from the cover map.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,7 +60,7 @@ class GTVector:
     __slots__ = ("_shape", "_terms")
 
     def __init__(self, shape: Partition, terms=None):
-        clean: dict[StandardTableau, Scalar] = {}
+        clean: dict[int, Scalar] = {}
         if terms:
             for tableau, coeff in terms.items():
                 if tableau.shape != shape:
@@ -58,14 +71,14 @@ class GTVector:
                     coeff = Scalar.rational(coeff)
                 if coeff.is_zero():
                     continue
-                clean[tableau] = coeff
+                clean[_rank(tableau)] = coeff
         self._shape = shape
         self._terms = clean
 
     @classmethod
     def _trusted(cls, shape: Partition, terms: dict) -> "GTVector":
-        """A vector from terms (tableau -> Scalar) known to have nonzero
-        coefficients and tableaux of this shape; nothing is checked."""
+        """A vector from terms (rank -> Scalar) known to have nonzero
+        coefficients and ranks of this shape; nothing is checked."""
         vec = object.__new__(cls)
         vec._shape = shape
         vec._terms = terms
@@ -84,12 +97,14 @@ class GTVector:
         return self._shape
 
     def items(self) -> tuple[tuple[StandardTableau, Scalar], ...]:
-        """The terms in row-word order, the order of enumerate_syt."""
-        terms = self._terms
-        return tuple((t, terms[t]) for t in sorted(terms, key=StandardTableau.row_word))
+        """The terms in rank order, the order of enumerate_syt."""
+        basis, terms = enumerate_syt(self._shape), self._terms
+        return tuple((basis[r], terms[r]) for r in sorted(terms))
 
     def coefficient(self, tableau: StandardTableau) -> Scalar:
-        return self._terms.get(tableau, ZERO)
+        if tableau.shape != self._shape:
+            return ZERO
+        return self._terms.get(_rank(tableau), ZERO)
 
     def support(self) -> tuple[StandardTableau, ...]:
         return tuple(t for t, _ in self.items())
@@ -170,17 +185,24 @@ class GTVector:
         return f"GTVector({self._shape!r}, {dict(self.items())!r})"
 
 
-def _accumulate(terms: dict, tableau: StandardTableau, coeff: Scalar) -> None:
-    """Add a nonzero coefficient at a tableau, dropping the term if it cancels."""
-    cur = terms.get(tableau)
+def _rank(tableau: StandardTableau) -> int:
+    """The index of a tableau in enumerate_syt(tableau.shape), which is
+    sorted by row word."""
+    basis = enumerate_syt(tableau.shape)
+    return bisect_left(basis, tableau.row_word(), key=StandardTableau.row_word)
+
+
+def _accumulate(terms: dict, rank: int, coeff: Scalar) -> None:
+    """Add a nonzero coefficient at a rank, dropping the term if it cancels."""
+    cur = terms.get(rank)
     if cur is None:
-        terms[tableau] = coeff
+        terms[rank] = coeff
         return
     total = cur + coeff
     if total.is_zero():
-        del terms[tableau]
+        del terms[rank]
     else:
-        terms[tableau] = total
+        terms[rank] = total
 
 
 @lru_cache(maxsize=None)
@@ -189,24 +211,52 @@ def _entries(r: int) -> tuple[Scalar, Scalar]:
     return Scalar.rational(Fraction(1, r)), sqrt_rational(Fraction(r * r - 1, r * r))
 
 
+@lru_cache(maxsize=None)
+def _generator_table(shape: Partition) -> tuple[tuple[array, array], ...]:
+    """Young's rule on the ranks of one shape: for each generator (i, i+1),
+    item i - 1, two arrays over ranks, the axial distance r from i to i+1
+    in T and the rank of T'.  r is 1 when i and i+1 share a row and -1 when
+    they share a column, and then the partner is T itself.  The arrays are
+    shared through the cache, and nothing modifies them."""
+    basis = enumerate_syt(shape)
+    rank = {t: k for k, t in enumerate(basis)}
+    table = []
+    for i in range(1, shape.n):
+        distances, partners = array("b"), array("l")
+        for k, tableau in enumerate(basis):
+            word = tableau.word
+            r1, r2 = word[i - 1], word[i]
+            if r1 == r2:
+                distances.append(1)
+                partners.append(k)
+            elif word[: i - 1].count(r1) == word[: i - 1].count(r2):
+                # same column: entry i+1 sits directly below entry i
+                distances.append(-1)
+                partners.append(k)
+            else:
+                distances.append(tableau.axial_distance(i))
+                partners.append(rank[tableau.swap_adjacent(i)])
+        table.append((distances, partners))
+    return tuple(table)
+
+
 def act_simple(i: int, vec: GTVector) -> GTVector:
     """Apply the adjacent transposition (i, i+1) to a vector."""
     n = vec.shape.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    out: dict[StandardTableau, Scalar] = {}
-    for tableau, coeff in vec._terms.items():
-        word = tableau.word
-        r1, r2 = word[i - 1], word[i]
-        if r1 == r2:
-            _accumulate(out, tableau, coeff)
-        elif word[: i - 1].count(r1) == word[: i - 1].count(r2):
-            # same column: entry i+1 sits directly below entry i
-            _accumulate(out, tableau, -coeff)
+    distances, partners = _generator_table(vec.shape)[i - 1]
+    out: dict[int, Scalar] = {}
+    for rank, coeff in vec._terms.items():
+        r = distances[rank]
+        if r == 1:
+            _accumulate(out, rank, coeff)
+        elif r == -1:
+            _accumulate(out, rank, -coeff)
         else:
-            diagonal, mixing = _entries(tableau.axial_distance(i))
-            _accumulate(out, tableau, coeff * diagonal)
-            _accumulate(out, tableau.swap_adjacent(i), coeff * mixing)
+            diagonal, mixing = _entries(r)
+            _accumulate(out, rank, coeff * diagonal)
+            _accumulate(out, partners[rank], coeff * mixing)
     return GTVector._trusted(vec.shape, out)
 
 
@@ -219,12 +269,9 @@ def act_word(word, vec: GTVector) -> GTVector:
 
 def rep_matrix(shape: Partition, i: int) -> list[list[Scalar]]:
     """Matrix of the transposition (i, i+1); column j is the image of basis j."""
-    basis = enumerate_syt(shape)
-    index = {t: k for k, t in enumerate(basis)}
-    dim = len(basis)
+    dim = len(enumerate_syt(shape))
     mat = [[ZERO] * dim for _ in range(dim)]
-    for col, tableau in enumerate(basis):
-        image = act_simple(i, GTVector.basis(tableau))
-        for t, c in image.items():
-            mat[index[t]][col] = c
+    for col in range(dim):
+        for row, c in act_simple(i, GTVector._trusted(shape, {col: ONE}))._terms.items():
+            mat[row][col] = c
     return mat

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own recursions: tableaux
 come from filtering raw permutations, signs from inversion counting,
 conjugates from transposing cell sets, and scalar values from Fraction
-pairs on unreduced radicands.
+pairs on unreduced radicands.  The per-shape tables of the library are
+checked against rules that read cells off `StandardTableau.rows`.
 """
 
 from fractions import Fraction
@@ -133,6 +134,49 @@ def tableau_facts_from_rows(rows) -> tuple[tuple[int, ...], list, list]:
         lengths = [sum(1 for e in row if e <= k) for row in rows]
         prefix_shapes.append(Partition([ln for ln in lengths if ln]))
     return row_word, positions, prefix_shapes
+
+
+def _cells(t: StandardTableau) -> dict[int, tuple[int, int]]:
+    return {e: (r, c) for r, row in enumerate(t.rows) for c, e in enumerate(row)}
+
+
+def young_rule_image(t: StandardTableau, i: int) -> dict:
+    """The image of v_t under (i, i+1) by Young's rule, each coefficient a
+    raw value (see below): v_t when i and i+1 share a row, -v_t when they
+    share a column, else (1/a) v_t + sqrt(1 - 1/a^2) v_t' with a the axial
+    distance from i to i+1 and t' the tableau with i and i+1 exchanged."""
+    (r1, c1), (r2, c2) = _cells(t)[i], _cells(t)[i + 1]
+    if r1 == r2:
+        return {t: [(1, (Fraction(1), Fraction(0)))]}
+    if c1 == c2:
+        return {t: [(1, (Fraction(-1), Fraction(0)))]}
+    a = (c2 - r2) - (c1 - r1)
+    swap = {i: i + 1, i + 1: i}
+    swapped = StandardTableau([[swap.get(e, e) for e in row] for row in t.rows])
+    return {
+        t: [(1, (Fraction(1, a), Fraction(0)))],
+        swapped: [(a * a - 1, (Fraction(1, abs(a)), Fraction(0)))],
+    }
+
+
+def transpose(t: StandardTableau) -> StandardTableau:
+    """The tableau whose rows are the columns of t."""
+    rows = t.rows
+    return StandardTableau([[row[c] for row in rows if c < len(row)] for c in range(len(rows[0]))])
+
+
+def add_box(t: StandardTableau, row: int) -> StandardTableau:
+    """t with the entry n + 1 put at the end of a 0-based row, which may be
+    the new row just below the last."""
+    rows = [list(r) for r in t.rows] + [[]]
+    rows[row].append(t.n + 1)
+    return StandardTableau([r for r in rows if r])
+
+
+def remove_largest(t: StandardTableau) -> StandardTableau:
+    """t without its entry n."""
+    rows = [[e for e in row if e != t.n] for row in t.rows]
+    return StandardTableau([r for r in rows if r])
 
 
 # The scalar ring, without altgt.scalars arithmetic.  A raw value is a list

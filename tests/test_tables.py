@@ -1,0 +1,60 @@
+"""The per-shape tables that vectors are read through, against rules that
+read cells off each tableau's rows."""
+
+from altgt import associator, gt, yor
+from altgt.partitions import partitions_of
+from altgt.tableaux import enumerate_syt
+from oracles import (
+    add_box,
+    brute_force_cover_rows,
+    canonical_terms,
+    remove_largest,
+    transpose,
+    young_rule_image,
+)
+
+SHAPES = [shape for n in range(1, 8) for shape in partitions_of(n)]
+
+
+def decoded(r: int, partner: int, k: int, basis) -> dict:
+    """The image of the k-th basis vector that act_simple reads off one
+    generator-table entry, as tableau -> Scalar.terms()."""
+    if r in (1, -1):
+        assert partner == k
+        return {basis[k]: ((1, (r, 0, 1)),)}
+    diagonal, mixing = yor._entries(r)
+    return {basis[k]: diagonal.terms(), basis[partner]: mixing.terms()}
+
+
+def test_generator_table_is_youngs_rule():
+    for shape in SHAPES:
+        basis = enumerate_syt(shape)
+        table = yor._generator_table(shape)
+        assert len(table) == shape.n - 1
+        for i, (distances, partners) in enumerate(table, 1):
+            assert len(distances) == len(partners) == len(basis)
+            for k, t in enumerate(basis):
+                expected = {u: canonical_terms(raw) for u, raw in young_rule_image(t, i).items()}
+                assert decoded(distances[k], partners[k], k, basis) == expected
+
+
+def test_conjugate_table_is_the_transpose():
+    for shape in SHAPES:
+        conjugates = enumerate_syt(shape.conjugate())
+        table = associator._conjugate_table(shape)
+        assert [conjugates[r] for r in table] == [transpose(t) for t in enumerate_syt(shape)]
+
+
+def test_cover_map_adds_and_removes_box_n():
+    for shape in SHAPES[1:]:  # the shape 1 covers nothing
+        basis = enumerate_syt(shape)
+        cover = gt._cover_map(shape)
+        rows = brute_force_cover_rows(shape)
+        assert set(cover) == set(rows)
+        for below, ranks in cover.items():
+            small = list(enumerate_syt(below))
+            assert [basis[r] for r in ranks] == [add_box(t, rows[below]) for t in small]
+            assert [remove_largest(basis[r]) for r in ranks] == small
+            assert list(ranks) == sorted(ranks)
+        # every tableau of the shape comes from exactly one cover
+        assert sorted(r for ranks in cover.values() for r in ranks) == list(range(len(basis)))

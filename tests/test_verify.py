@@ -167,8 +167,16 @@ def test_fault_injection_square(monkeypatch):
     assert all("square" in c.witness for c in bad)
 
 
+def unwarmed_generator_table(patch):
+    # act_simple reads Young's rule from a cached table per shape; its
+    # uncached builder sees a patched axial distance even when a table of
+    # the same shape was built before the patch
+    patch.setattr(yor, "_generator_table", yor._generator_table.__wrapped__)
+
+
 def test_fault_injection_braid(monkeypatch):
     monkeypatch.setattr(StandardTableau, "axial_distance", doubled_axial_distance)
+    unwarmed_generator_table(monkeypatch)
     bad = verify_yor(4).failures()
     assert {c.subject for c in bad} == {"shape 2,1", "shape 3,1", "shape 2,2", "shape 2,1,1"}
     assert all("braid" in c.witness for c in bad)
@@ -222,6 +230,7 @@ def test_warm_caches_do_not_hide_faults(monkeypatch):
         assert outcomes() == {"assoc": False, "yor": True, "gt 3,2,1^+": False, "gt 4,2,1": False}
     with monkeypatch.context() as patch:
         patch.setattr(StandardTableau, "axial_distance", doubled_axial_distance)
+        unwarmed_generator_table(patch)
         assert not outcomes()["yor"]
     assert all(outcomes().values())
 
@@ -307,8 +316,9 @@ def doubled_first_coefficient(paths, normalize=False, _orig=gt.gt_vectors):
     out = []
     for p, v in zip(paths, _orig(paths, normalize=normalize)):
         if str(p.labels[0]) == "1,1":
+            terms = dict(v.items())
             first = v.support()[0]
-            v = GTVector(v.shape, {**v._terms, first: v._terms[first] * 2})
+            v = GTVector(v.shape, {**terms, first: terms[first] * 2})
         out.append(v)
     return out
 
@@ -330,4 +340,66 @@ def test_fault_injection_lowest_failing_class(monkeypatch):
     assert gt_witnesses("3,1,1^+", "4,1,1") == [
         "class of 2;3;3,1;3,1,1^+: member 1,1;1,1,1;2,1,1;3,1,1^+ is not equivalent",
         "class of 2;3;3,1;3,1,1^+;4,1,1: member 1,1;1,1,1;2,1,1;3,1,1^+;4,1,1 is not equivalent",
+    ]
+
+
+def swapped_partners(shape, _orig=yor._generator_table):
+    # at the first generator with two mixing tableaux, the first two trade
+    # the ranks of their swap partners; the cached table is left intact
+    table = list(_orig(shape))
+    for i, (distances, partners) in enumerate(table):
+        mixing = [k for k, r in enumerate(distances) if r not in (1, -1)]
+        if len(mixing) >= 2:
+            a, b = mixing[:2]
+            partners = partners[:]
+            partners[a], partners[b] = partners[b], partners[a]
+            table[i] = (distances, partners)
+            break
+    return tuple(table)
+
+
+def test_fault_injection_generator_table(monkeypatch):
+    monkeypatch.setattr(yor, "_generator_table", swapped_partners)
+    assert [(c.subject, c.witness) for c in verify_yor(4).failures()] == [
+        ("shape 2,1", "square of generator 2 is not the identity on 12/3"),
+        ("shape 3,1", "square of generator 2 is not the identity on 124/3"),
+        ("shape 2,2", "square of generator 2 is not the identity on 12/34"),
+        ("shape 2,1,1", "square of generator 2 is not the identity on 12/3/4"),
+    ]
+
+
+def test_fault_injection_conjugate_table(monkeypatch):
+    # each tableau is paired with the transpose of the tableau after it
+    orig = associator._conjugate_table
+    monkeypatch.setattr(associator, "_conjugate_table", lambda shape: orig(shape)[1:] + orig(shape)[:1])
+    assert [(c.subject, c.witness) for c in verify_associator(6).failures()] == [
+        ("shape 2,1", "not a monomial pairing at 12/3"),
+        ("shape 2,2", "not a monomial pairing at 12/34"),
+        ("shape 3,1,1", "not a monomial pairing at 123/4/5"),
+        ("shape 3,2,1", "not a monomial pairing at 123/45/6"),
+        ("cover 3,1,1 up to 3,2,1", "disagrees at 123/4/5"),
+    ]
+
+
+def swapped_cover(shape, _orig=gt._cover_map):
+    # the first two tableaux of each smaller shape land on each other's rank
+    out = {}
+    for below, ranks in _orig(shape).items():
+        ranks = list(ranks)
+        if len(ranks) >= 2:
+            ranks[0], ranks[1] = ranks[1], ranks[0]
+        out[below] = tuple(ranks)
+    return out
+
+
+def test_fault_injection_cover_map(monkeypatch):
+    monkeypatch.setattr(gt, "_cover_map", swapped_cover)
+    assert [(c.subject, c.witness) for c in verify_associator(6).failures()] == [
+        ("cover 2,1 up to 2,2", "disagrees at 12/3"),
+        ("cover 3,1,1 up to 3,2,1", "disagrees at 123/4/5"),
+    ]
+    assert gt_witnesses("2,2^+", "3,1,1^+", "4,1,1") == [
+        "not a +1 eigenvector on 2;2,1^+;2,2^+",
+        "support of 2;3;3,1;3,1,1^+ strays at level 3",
+        "support of 2;3;4;4,1;4,1,1 strays at level 4",
     ]
