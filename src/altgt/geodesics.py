@@ -2,25 +2,25 @@
 
 A path records the labels at levels 2..n that an irreducible representation
 passes through under successive restriction.  Two paths are equivalent when
-they are componentwise equivalent (equal or conjugate at every level).  A
-path splits into runs, maximal blocks of unsigned labels: one starts at
-level 2, and a new one at each step from a signed label up to an unsigned
-one.  A class member conjugates each run as a whole or not at all and keeps
-every signed label, so a class of a path with r + 1 runs has 2^(r+1)
-members.  `class_members` lists them; `class_size` counts the runs.
+they are equal or conjugate at every level.  A path splits into runs,
+maximal blocks of unsigned labels: one starts at level 2, and a new one at
+each step from a signed label up to an unsigned one.  A class member
+conjugates each run as a whole or not at all and keeps every signed label,
+so the class of a path with r + 1 runs has 2^(r+1) members, endpoints free;
+`class_size` counts them.  `class_members` lists the members that end at
+the path's own endpoint: the run holding an unsigned endpoint stays.
 
-Each class contributes one basis vector, so picking one representative per
-class ending at a given label enumerates a basis.  The representative is the
-class member, still ending at that exact label, whose label sequence is
-smallest position by position: partitions compared in rev-lex order, + before
-- on signs.  Two members first differ at the first label of some run, so the
-representative is the member whose every closed run (one followed by a signed
-label) starts at its canonical, rev-lex earlier label; the run holding an
-unsigned endpoint is fixed by the endpoint.  Path text joins labels with ";":
-"2;2,1^+;3,1;3,1,1^+;4,1,1".
+Each class contributes one basis vector.  Its representative is the member
+ending at the label whose labels sort first, rev-lex with + before -.  Two
+members first differ at the first label of some run, so it is the member
+whose every closed run (one followed by a signed label) starts at its
+canonical label.  Path text joins labels with ";": "2;2,1^+;3,1".
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import product
 
 from .labels import AltLabel, canonical_label, dagger_down_set, equivalent, in_dagger
 from .partitions import cached_upward
@@ -30,9 +30,9 @@ class AltPath:
     """A branching path: one label per level from 2 up to its endpoint.
 
     The constructor and `parse` check every level and every link.  The paths
-    this module grows from checked links, in `enumerate_paths`,
-    `class_members` and `geodesic_representatives`, are built by `_trusted`,
-    which checks nothing.
+    this module builds, from checked links in `enumerate_paths` and
+    `geodesic_representatives` and by conjugating whole runs in
+    `class_members`, come from `_trusted`, which checks nothing.
     """
 
     __slots__ = ("_labels",)
@@ -123,34 +123,34 @@ def path_equivalent(a: AltPath, b: AltPath) -> bool:
     return all(equivalent(x, y) for x, y in zip(a, b))
 
 
-def class_members(path: AltPath) -> tuple[AltPath, ...]:
-    """The full equivalence class of a path, endpoints allowed to vary.
-
-    Prefixes grow one level at a time, by the label or its unsigned
-    conjugate, and keep only the links that branch.
-    """
-    prefixes = [()]
-    for label in path:
-        choices = [label]
-        if not label.is_signed():
-            choices.append(AltLabel(label.partition.conjugate()))
-        prefixes = [q + (c,) for q in prefixes for c in choices if not q or in_dagger(q[-1], c)]
-    return tuple(sorted(map(AltPath._trusted, prefixes), key=AltPath.sort_key))
-
-
-def _run_starts(path: AltPath) -> list[AltLabel]:
-    """The first label of each run: the level-2 label, and each unsigned
+def _run_starts(path: AltPath) -> list[int]:
+    """The level index of each run's first label: 0, and each unsigned
     label one level above a signed one."""
     labels = path.labels
-    return [labels[0]] + [
-        above for below, above in zip(labels, labels[1:])
-        if below.is_signed() and not above.is_signed()
-    ]
+    return [0] + [k for k in range(1, len(labels))
+                  if labels[k - 1].is_signed() and not labels[k].is_signed()]
+
+
+@lru_cache(maxsize=None)
+def _conjugate(label: AltLabel) -> AltLabel:
+    return label if label.is_signed() else AltLabel(label.partition.conjugate())
+
+
+def class_members(path: AltPath) -> tuple[AltPath, ...]:
+    """The members of the path's class that end at its endpoint, sorted:
+    each block from one run start to the next is kept or, if a signed label
+    closes its run, conjugated whole, which keeps every link."""
+    labels = path.labels
+    bounds = _run_starts(path) + [len(labels)]
+    blocks = [labels[start:end] for start, end in zip(bounds, bounds[1:])]
+    choices = [(block, tuple(map(_conjugate, block))) if block[-1].is_signed() else (block,)
+               for block in blocks]
+    members = (AltPath._trusted(sum(combo, ())) for combo in product(*choices))
+    return tuple(sorted(members, key=AltPath.sort_key))
 
 
 def class_size(path: AltPath) -> int:
-    """The number of members of the path's class, 2^(r+1), without listing
-    them: a member conjugates each of the r + 1 runs independently."""
+    """The size of the path's class, endpoints free: 2^(r+1) for r + 1 runs."""
     return 2 ** len(_run_starts(path))
 
 
@@ -170,7 +170,7 @@ def geodesic_representatives(label: AltLabel) -> tuple[AltPath, ...]:
         closes_run = label.is_signed() and not below.is_signed()
         for shorter in geodesic_representatives(below):
             if closes_run:
-                start = _run_starts(shorter)[-1]
+                start = shorter.labels[_run_starts(shorter)[-1]]
                 if canonical_label(start) != start:
                     continue
             found.append(AltPath._trusted(shorter.labels + (label,)))

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 from . import associator, yor
 from .geodesics import AltPath, class_members, geodesic_representatives, path_equivalent
 from .gt import embed, gt_vectors, restrict
-from .labels import AltLabel, dim_alt, labels, level_dimension_total
-from .partitions import Partition, partitions_of, self_conjugate_partitions
+from .labels import AltLabel, dagger_down_set, dim_alt, labels, level_dimension_total
+from .partitions import Partition, cached_upward, partitions_of, self_conjugate_partitions
 from .scalars import I, ONE, ZERO, Scalar
 from .tableaux import enumerate_syt, reference_tableau
 from .yor import GTVector
@@ -201,6 +201,12 @@ def _mate_failure(
     return None
 
 
+@cached_upward(dagger_down_set, 2)
+def _path_count(label: AltLabel) -> int:
+    """The number of paths ending at a label, counted without building them."""
+    return 1 if label.n == 2 else sum(map(_path_count, dagger_down_set(label)))
+
+
 def _gt_failure(label: AltLabel) -> str | None:
     """First failed check of the basis attached to one label, or None."""
     paths = geodesic_representatives(label)
@@ -247,12 +253,11 @@ def _gt_failure(label: AltLabel) -> str | None:
     if label.n < 3:
         return None
     # equivalent paths ending here must give the same vector up to a fourth
-    # root of unity.  The mates of every class are built in one sorted pass,
-    # so classes share their prefixes; the witness is the first failure of
-    # the earliest failing class.
+    # root of unity.  The members of each class that end here are built in
+    # one sorted pass, so classes share their prefixes; the witness is the
+    # first failure of the earliest failing class.
     tagged = sorted(
-        ((mate, r) for r, p in enumerate(paths) for mate in class_members(p)
-         if mate.endpoint == label),
+        ((mate, r) for r, p in enumerate(paths) for mate in class_members(p)),
         key=lambda pair: pair[0].sort_key(),
     )
     firsts = [min(v._terms) for v in vectors]
@@ -264,6 +269,13 @@ def _gt_failure(label: AltLabel) -> str | None:
                 failed, witness = r, failure
     if witness is not None:
         return witness
+    # the classes split the paths ending here: as many mates, none twice
+    mates = [mate for mate, _ in tagged]
+    if len(mates) != _path_count(label):
+        return f"classes hold {len(mates)} mates of {_path_count(label)} paths"
+    for mate, after in zip(mates, mates[1:]):
+        if mate == after:
+            return f"classes list {mate} twice"
     # walking one step back down the path must recover the shorter vector
     truncations = gt_vectors(AltPath(p.labels[:-1]) for p in paths)
     for p, v, shorter in zip(paths, vectors, truncations):

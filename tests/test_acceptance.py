@@ -12,6 +12,7 @@ from altgt.associator import assoc_coeff
 from altgt.geodesics import (
     AltPath,
     class_members,
+    class_size,
     enumerate_paths,
     path_equivalent,
 )
@@ -22,7 +23,7 @@ from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, reference_tableau
 from altgt.verify import verify_associator, verify_gt, verify_gt_range, verify_yor
 from altgt.yor import GTVector
-from oracles import branch_count_r, brute_force_syt, class_signature
+from oracles import branch_count_r, brute_force_class_members, brute_force_syt, class_signature
 from test_verify import column_flip, unsigned_coeff
 
 
@@ -133,7 +134,8 @@ def test_criterion_5_class_sizes():
     start = time.perf_counter()
     example = AltPath.parse("2;2,1^+;3,1;3,1,1^+;4,1,1")
     assert branch_count_r(example) == 2
-    assert [str(p) for p in class_members(example)] == [
+    assert class_size(example) == 8
+    assert [str(p) for p in brute_force_class_members(example)] == [
         "2;2,1^+;3,1;3,1,1^+;4,1,1",
         "2;2,1^+;3,1;3,1,1^+;3,1,1,1",
         "2;2,1^+;2,1,1;3,1,1^+;4,1,1",
@@ -142,6 +144,13 @@ def test_criterion_5_class_sizes():
         "1,1;2,1^+;3,1;3,1,1^+;3,1,1,1",
         "1,1;2,1^+;2,1,1;3,1,1^+;4,1,1",
         "1,1;2,1^+;2,1,1;3,1,1^+;3,1,1,1",
+    ]
+    # class_members lists the members that end at the path's own endpoint
+    assert [str(p) for p in class_members(example)] == [
+        "2;2,1^+;3,1;3,1,1^+;4,1,1",
+        "2;2,1^+;2,1,1;3,1,1^+;4,1,1",
+        "1,1;2,1^+;3,1;3,1,1^+;4,1,1",
+        "1,1;2,1^+;2,1,1;3,1,1^+;4,1,1",
     ]
 
     checked = 0
@@ -152,10 +161,9 @@ def test_criterion_5_class_sizes():
             if partner is not None and partner != label:
                 pool += list(enumerate_paths(partner))
             for p in enumerate_paths(label):
-                brute = [q for q in pool if path_equivalent(p, q)]
-                members = class_members(p)
-                assert sorted(brute, key=AltPath.sort_key) == list(members)
-                assert len(members) == 2 ** (branch_count_r(p) + 1)
+                brute = sorted((q for q in pool if path_equivalent(p, q)), key=AltPath.sort_key)
+                assert len(brute) == class_size(p) == 2 ** (branch_count_r(p) + 1)
+                assert list(class_members(p)) == [q for q in brute if q.endpoint == label]
                 checked += 1
     assert checked > 3000
     assert time.perf_counter() - start < 30.0

@@ -89,7 +89,7 @@ def test_class_signature_constant_on_members():
 def test_frozen_eight_member_class():
     p = path("1,1;2,1^+;2,1,1;3,1,1^+;4,1,1")
     assert branch_count_r(p) == 2
-    members = [str(q) for q in class_members(p)]
+    members = [str(q) for q in brute_force_class_members(p)]
     assert members == [
         "2;2,1^+;3,1;3,1,1^+;4,1,1",
         "2;2,1^+;3,1;3,1,1^+;3,1,1,1",
@@ -100,15 +100,24 @@ def test_frozen_eight_member_class():
         "1,1;2,1^+;2,1,1;3,1,1^+;4,1,1",
         "1,1;2,1^+;2,1,1;3,1,1^+;3,1,1,1",
     ]
+    assert class_size(p) == 8
+    # the run holding the unsigned endpoint stays, so half end at 4,1,1
+    assert [str(q) for q in class_members(p)] == [
+        "2;2,1^+;3,1;3,1,1^+;4,1,1",
+        "2;2,1^+;2,1,1;3,1,1^+;4,1,1",
+        "1,1;2,1^+;3,1;3,1,1^+;4,1,1",
+        "1,1;2,1^+;2,1,1;3,1,1^+;4,1,1",
+    ]
 
 
 def test_class_members_cover_enumeration():
     for n in range(2, 7):
         for label in labels(n):
             for p in enumerate_paths(label):
-                members = [q for q in class_members(p) if q.endpoint == label]
+                members = class_members(p)
                 assert p in members
                 for q in members:
+                    assert q.endpoint == label
                     assert path_equivalent(p, q)
 
 
@@ -117,14 +126,24 @@ def test_class_size_power_of_two():
         for label in labels(n):
             for p in enumerate_paths(label):
                 r = branch_count_r(p)
-                assert len(class_members(p)) == 2 ** (r + 1)
+                assert class_size(p) == len(brute_force_class_members(p)) == 2 ** (r + 1)
 
 
 def test_class_size_counts_the_members():
     for n in range(2, 9):
         for label in labels(n):
-            for p in enumerate_paths(label):
-                assert class_size(p) == len(class_members(p))
+            for p in geodesic_representatives(label):
+                assert class_size(p) == len(brute_force_class_members(p))
+
+
+def test_class_members_are_half_the_class_at_unsigned_endpoints():
+    # a signed endpoint closes the last run, so every member ends there;
+    # an unsigned one keeps its run, so half of the class does
+    for n in range(2, 10):
+        for label in labels(n):
+            for p in geodesic_representatives(label):
+                expected = class_size(p) if label.is_signed() else class_size(p) // 2
+                assert len(class_members(p)) == expected
 
 
 def test_class_size_matches_brute_force():
@@ -148,8 +167,7 @@ def test_geodesic_representatives_are_minimal():
             assert len({class_signature(p) for p in reps}) == len(reps)
             for p in reps:
                 assert p.endpoint == label
-                members = [q for q in class_members(p) if q.endpoint == label]
-                assert p == min(members, key=AltPath.sort_key)
+                assert p == class_members(p)[0]
 
 
 def test_representatives_small_frozen():
@@ -188,8 +206,9 @@ def test_first_of_class_filter_catches_a_rule_on_run_ends(monkeypatch):
     def run_ends(p):
         path_labels = p.labels
         return [
-            below for below, above in zip(path_labels, path_labels[1:] + (None,))
-            if not below.is_signed() and (above is None or above.is_signed())
+            k for k, below in enumerate(path_labels)
+            if not below.is_signed()
+            and (k + 1 == len(path_labels) or path_labels[k + 1].is_signed())
         ]
 
     geodesics.geodesic_representatives.cache_clear()
@@ -204,10 +223,11 @@ def test_first_of_class_filter_catches_a_rule_on_run_ends(monkeypatch):
 
 
 def test_class_members_match_product_filter():
-    for n in range(2, 8):
+    for n in range(2, 9):
         for label in labels(n):
-            for p in enumerate_paths(label):
-                assert list(class_members(p)) == brute_force_class_members(p)
+            for p in geodesic_representatives(label):
+                brute = [q for q in brute_force_class_members(p) if q.endpoint == label]
+                assert list(class_members(p)) == brute
 
 
 def test_class_members_match_validated_paths():

@@ -2,7 +2,7 @@ import pytest
 
 from altgt import associator, gt, verify, yor
 from altgt.geodesics import enumerate_paths
-from altgt.labels import AltLabel
+from altgt.labels import AltLabel, labels
 from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, permutation_sign
 from altgt.verify import (
@@ -259,7 +259,7 @@ def mate_for_neighbour(label, _orig=verify.geodesic_representatives):
     # label is replaced by that member, so two vectors are proportional
     reps = list(_orig(label))
     for j, p in enumerate(reps):
-        mates = [m for m in verify.class_members(p) if m.endpoint == label and m != p]
+        mates = [m for m in verify.class_members(p) if m != p]
         if mates:
             reps[j - 1] = mates[0]
             break
@@ -293,6 +293,43 @@ def test_fault_injection_mismatched_supports(monkeypatch):
         "class of 2;3;3,1 has mismatched supports",
         "class of 2;3;3,1;3,2 has mismatched supports",
         "class of 2;3;4;4,1;4,1,1 has mismatched supports",
+    ]
+
+
+def test_path_count_matches_enumeration():
+    for n in range(2, 9):
+        for label in labels(n):
+            assert verify._path_count(label) == len(enumerate_paths(label))
+
+
+def last_mate_dropped(p, _orig=verify.class_members):
+    # every class with a second mate loses its last one
+    mates = _orig(p)
+    return mates[:-1] if len(mates) > 1 else mates
+
+
+def test_fault_injection_missing_mates(monkeypatch):
+    monkeypatch.setattr(verify, "class_members", last_mate_dropped)
+    assert gt_witnesses("3,1", "3,2", "4,1,1") == [
+        "classes hold 3 mates of 5 paths",
+        "classes hold 5 mates of 9 paths",
+        "classes hold 18 mates of 26 paths",
+    ]
+
+
+def first_mate_repeated(p, _orig=verify.class_members):
+    # every class with a second mate lists its first in place of its last,
+    # so the count still matches
+    mates = _orig(p)
+    return mates[:-1] + mates[:1] if len(mates) > 1 else mates
+
+
+def test_fault_injection_repeated_mate(monkeypatch):
+    monkeypatch.setattr(verify, "class_members", first_mate_repeated)
+    assert gt_witnesses("3,1", "3,2", "4,1,1") == [
+        "classes list 2;2,1^+;3,1 twice",
+        "classes list 2;2,1^+;3,1;3,2 twice",
+        "classes list 2;3;3,1;3,1,1^+;4,1,1 twice",
     ]
 
 
