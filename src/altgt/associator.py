@@ -9,6 +9,8 @@ root of unity times the basis vector of the transposed tableau:
 where d is the diagonal length of the shape and w_T is the permutation
 carrying the anchor (reference) tableau to T cellwise.  Squaring gives the
 identity, and the map anticommutes with every adjacent transposition.
+apply_phi reads each root and transpose rank from a table that assoc_coeff
+fills once per shape, so no term recounts the inversions of its tableau.
 """
 
 from __future__ import annotations
@@ -36,18 +38,16 @@ def assoc_coeff(tableau: StandardTableau) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _conjugate_table(shape: Partition) -> array:
-    """The rank in enumerate_syt(shape.conjugate()) of the transpose of each
-    tableau of the shape, by rank."""
-    rank = {t: k for k, t in enumerate(enumerate_syt(shape.conjugate()))}
-    return array("l", (rank[t.conjugate()] for t in enumerate_syt(shape)))
+def _phi_table(shape: Partition) -> tuple[array, tuple[Scalar, ...]]:
+    """By rank: the rank of each tableau's transpose, and its assoc_coeff."""
+    basis = enumerate_syt(shape)
+    roots = tuple(assoc_coeff(t) for t in basis)  # raises unless self-conjugate
+    rank = {t: k for k, t in enumerate(basis)}
+    return array("l", (rank[t.conjugate()] for t in basis)), roots
 
 
 def apply_phi(vec: GTVector) -> GTVector:
     """Linear extension of v_T -> assoc_coeff(T) * v_{T transposed}."""
-    basis, conjugates = enumerate_syt(vec.shape), _conjugate_table(vec.shape)
-    out = {
-        conjugates[r]: c.times_fourth_root(assoc_coeff(basis[r]))
-        for r, c in vec._terms.items()
-    }
+    partners, roots = _phi_table(vec.shape)
+    out = {partners[r]: c.times_fourth_root(roots[r]) for r, c in vec._terms.items()}
     return GTVector._trusted(vec.shape, out)

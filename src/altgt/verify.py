@@ -277,7 +277,7 @@ def _gt_failure(label: AltLabel) -> str | None:
         if mate == after:
             return f"classes list {mate} twice"
     # walking one step back down the path must recover the shorter vector
-    truncations = gt_vectors(AltPath(p.labels[:-1]) for p in paths)
+    truncations = gt_vectors(AltPath._trusted(p.labels[:-1]) for p in paths)
     for p, v, shorter in zip(paths, vectors, truncations):
         head, prev = p.labels[-1], p.labels[-2]
         if not head.is_signed() or prev.is_signed():

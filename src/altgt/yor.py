@@ -33,8 +33,8 @@ create a zero.
 The work that is the same for every vector of a shape is done once per
 shape, in lazily built cached tables that map ranks to ranks.
 ``act_simple`` reads Young's rule above from ``_generator_table``;
-``associator.apply_phi`` reads each tableau's transpose from the
-conjugate table; ``gt.embed`` and ``gt.restrict`` read the ranks that
+``associator.apply_phi`` reads each tableau's transpose and fourth root
+from ``_phi_table``; ``gt.embed`` and ``gt.restrict`` read the ranks that
 adding box n gives from the cover map.
 """
 

@@ -24,7 +24,7 @@ from altgt.tableaux import StandardTableau, reference_tableau
 from altgt.verify import verify_associator, verify_gt, verify_gt_range, verify_yor
 from altgt.yor import GTVector
 from oracles import branch_count_r, brute_force_class_members, brute_force_syt, class_signature
-from test_verify import column_flip, unsigned_coeff
+from test_verify import column_flip, unsigned_coeff, unwarmed_phi_table
 
 
 def vec(shape_text, terms):
@@ -210,6 +210,7 @@ def test_criterion_9_fault_injection(monkeypatch):
         assert not verify_yor(4).ok
     with monkeypatch.context() as patch:
         patch.setattr(associator, "assoc_coeff", unsigned_coeff)
+        unwarmed_phi_table(patch)
         assert not verify_associator(4).ok
         assert not verify_gt(AltLabel.parse("2,1^+")).ok
     # everything is healthy again once the mutations are lifted

@@ -1,16 +1,47 @@
+from collections import Counter
+
 import pytest
 
+from altgt import associator
 from altgt.associator import apply_phi, assoc_coeff
 from altgt.gt import embed
 from altgt.partitions import Partition, self_conjugate_partitions
 from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, enumerate_syt, reference_tableau
+from altgt.verify import verify_gt_range
 from altgt.yor import GTVector, act_word
 
 
 def test_rejects_non_self_conjugate():
     with pytest.raises(ValueError):
         assoc_coeff(StandardTableau.parse("124/3"))
+
+
+def test_apply_phi_rejects_every_vector_of_a_non_self_conjugate_shape():
+    shape = Partition((3, 1))
+    for vec in (GTVector.zero(shape), GTVector.basis(StandardTableau.parse("124/3"))):
+        with pytest.raises(ValueError, match="3,1 is not self-conjugate"):
+            apply_phi(vec)
+
+
+def test_phi_table_computes_each_root_once(monkeypatch):
+    # assoc_coeff runs once per tableau of each shape phi reaches, never per term
+    calls = Counter()
+
+    def counted(tableau, _orig=assoc_coeff):
+        calls[tableau] += 1
+        return _orig(tableau)
+
+    associator._phi_table.cache_clear()
+    monkeypatch.setattr(associator, "assoc_coeff", counted)
+    assert verify_gt_range(8).ok
+    shapes = {t.shape for t in calls}
+    assert len(shapes) == 7  # every self-conjugate shape with 3 <= n <= 8
+    assert associator._phi_table.cache_info().currsize == len(shapes)
+    assert calls == Counter(t for shape in shapes for t in enumerate_syt(shape))
+    calls.clear()
+    assert verify_gt_range(6).ok
+    assert not calls
 
 
 def test_coefficient_values():

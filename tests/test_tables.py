@@ -2,12 +2,14 @@
 read cells off each tableau's rows."""
 
 from altgt import associator, gt, yor
-from altgt.partitions import partitions_of
-from altgt.tableaux import enumerate_syt
+from altgt.partitions import partitions_of, self_conjugate_partitions
+from altgt.scalars import I, ONE
+from altgt.tableaux import enumerate_syt, reference_tableau
 from oracles import (
     add_box,
     brute_force_cover_rows,
     canonical_terms,
+    inversion_sign,
     remove_largest,
     transpose,
     young_rule_image,
@@ -38,11 +40,23 @@ def test_generator_table_is_youngs_rule():
                 assert decoded(distances[k], partners[k], k, basis) == expected
 
 
-def test_conjugate_table_is_the_transpose():
-    for shape in SHAPES:
-        conjugates = enumerate_syt(shape.conjugate())
-        table = associator._conjugate_table(shape)
-        assert [conjugates[r] for r in table] == [transpose(t) for t in enumerate_syt(shape)]
+def test_phi_table_is_the_transpose_and_its_root():
+    shapes = [shape for n in range(1, 10) for shape in self_conjugate_partitions(n)]
+    assert len(shapes) == 10
+    for shape in shapes:
+        basis = enumerate_syt(shape)
+        partners, roots = associator._phi_table(shape)
+        assert [basis[r] for r in partners] == [transpose(t) for t in basis]
+        # i^((n - d)/2) times the sign of the cellwise map from the anchor
+        d = sum(1 for r, part in enumerate(shape.parts) if part > r)
+        root = (ONE, I, -ONE, -I)[(shape.n - d) // 2 % 4]
+        ref = reference_tableau(shape)
+        for t, got in zip(basis, roots):
+            mapping = {}
+            for r, row in enumerate(ref.rows):
+                for c, entry in enumerate(row):
+                    mapping[entry] = t.rows[r][c]
+            assert got == (root if inversion_sign(mapping) == 1 else -root)
 
 
 def test_cover_map_adds_and_removes_box_n():

@@ -133,8 +133,16 @@ def test_fault_injection_yor(monkeypatch):
     assert all(c.witness for c in report.failures())
 
 
+def unwarmed_phi_table(patch):
+    # apply_phi reads each root from a cached table per shape; its uncached
+    # builder sees a patched assoc_coeff even when a table of the same shape
+    # was built before the patch
+    patch.setattr(associator, "_phi_table", associator._phi_table.__wrapped__)
+
+
 def test_fault_injection_associator(monkeypatch):
     monkeypatch.setattr(associator, "assoc_coeff", unsigned_coeff)
+    unwarmed_phi_table(monkeypatch)
     report = verify_associator(4)
     assert not report.ok
     assert {c.subject for c in report.failures()} == {"shape 2,1", "shape 2,2"}
@@ -144,6 +152,7 @@ def test_fault_injection_anchor(monkeypatch):
     # a negated intertwiner keeps every identity but the anchor coefficients
     orig = associator.assoc_coeff
     monkeypatch.setattr(associator, "assoc_coeff", lambda t: -orig(t))
+    unwarmed_phi_table(monkeypatch)
     bad = verify_associator(5).failures()
     assert [(c.subject, c.witness) for c in bad] == [
         ("shape 2,1", "anchor coefficient -i, expected i"),
@@ -154,6 +163,7 @@ def test_fault_injection_anchor(monkeypatch):
 
 def test_fault_injection_gt(monkeypatch):
     monkeypatch.setattr(associator, "assoc_coeff", unsigned_coeff)
+    unwarmed_phi_table(monkeypatch)
     report = verify_gt(AltLabel.parse("2,1^+"))
     assert not report.ok
     assert "eigenvector" in report.failures()[0].witness
@@ -161,6 +171,7 @@ def test_fault_injection_gt(monkeypatch):
 
 def test_fault_injection_square(monkeypatch):
     monkeypatch.setattr(associator, "assoc_coeff", rotated_coeff)
+    unwarmed_phi_table(monkeypatch)
     report = verify_associator(6)
     bad = report.failures()
     assert [c.subject for c in bad] == ["shape 2,1", "shape 2,2", "shape 3,1,1", "shape 3,2,1"]
@@ -227,6 +238,7 @@ def test_warm_caches_do_not_hide_faults(monkeypatch):
     assert all(outcomes().values())
     with monkeypatch.context() as patch:
         patch.setattr(associator, "assoc_coeff", unsigned_coeff)
+        unwarmed_phi_table(patch)
         assert outcomes() == {"assoc": False, "yor": True, "gt 3,2,1^+": False, "gt 4,2,1": False}
     with monkeypatch.context() as patch:
         patch.setattr(StandardTableau, "axial_distance", doubled_axial_distance)
@@ -407,8 +419,13 @@ def test_fault_injection_generator_table(monkeypatch):
 
 def test_fault_injection_conjugate_table(monkeypatch):
     # each tableau is paired with the transpose of the tableau after it
-    orig = associator._conjugate_table
-    monkeypatch.setattr(associator, "_conjugate_table", lambda shape: orig(shape)[1:] + orig(shape)[:1])
+    orig = associator._phi_table
+
+    def rotated_partners(shape):
+        partners, roots = orig(shape)
+        return partners[1:] + partners[:1], roots
+
+    monkeypatch.setattr(associator, "_phi_table", rotated_partners)
     assert [(c.subject, c.witness) for c in verify_associator(6).failures()] == [
         ("shape 2,1", "not a monomial pairing at 12/3"),
         ("shape 2,2", "not a monomial pairing at 12/34"),
