@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .associator import assoc_coeff
 from .geodesics import class_size, geodesic_representatives
@@ -110,25 +111,46 @@ def _cmd_gt(args) -> int:
     label = AltLabel.parse(args.label)
     basis = gt_basis(label, normalize=args.normalize)
     if args.format == "json":
-        payload = [
-            {
-                "path": path.to_json(),
-                "terms": [
-                    {"tableau": t.to_json(), "coeff": c.to_json()}
-                    for t, c in vector.items()
-                ],
-            }
-            for path, vector in basis
-        ]
-        print(json.dumps(payload, indent=2))
+        _write_gt_json(basis)
     elif args.format == "latex":
         for path, vector in basis:
-            subscript = ",".join(label_part.latex() for label_part in path)
+            subscript = ",".join([label_part.latex() for label_part in path])
             print(f"u_{{{subscript}}} = {vector.latex()}")
     else:
         for path, vector in basis:
             print(f"u[{path}] = {vector}")
     return 0
+
+
+# a term's tableau, 8 spaces deep in indent=2 layout: open, row sep, entry sep, close
+_TABLEAU_JSON = ("[\n          [\n            ", "\n          ],\n          [\n            ",
+                 ",\n            ", "\n          ]\n        ]")
+
+
+def _nested_json(memo: dict, obj, indent: int) -> str:
+    """json.dumps(obj.to_json(), indent=2) `indent` spaces deep, once per object."""
+    text = memo.get(obj)
+    if text is None:
+        text = memo[obj] = json.dumps(obj.to_json(), indent=2).replace("\n", "\n" + " " * indent)
+    return text
+
+
+def _write_gt_json(basis) -> None:
+    """Print json.dumps(payload, indent=2) of the gt payload a vector at a time."""
+    labels, coeffs, write = {}, {}, sys.stdout.write
+    open_, row_sep, entry_sep, close = _TABLEAU_JSON
+    sep = "[\n"
+    for path, vector in basis:
+        path_json = ",\n      ".join([_nested_json(labels, lb, 6) for lb in path])
+        terms_json = ",\n      ".join([
+            f'{{\n        "tableau": {open_}{t.joined(row_sep, entry_sep)}{close},'
+            f'\n        "coeff": {_nested_json(coeffs, c, 8)}\n      }}'
+            for t, c in vector.items()
+        ])
+        write(f'{sep}  {{\n    "path": [\n      {path_json}\n    ],'
+              f'\n    "terms": [\n      {terms_json}\n    ]\n  }}')
+        sep = ",\n"
+    write("\n]\n")
 
 
 def _cmd_verify(args) -> int:
@@ -147,7 +169,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built by the first main() call."""
     parser = argparse.ArgumentParser(
         prog="altgt",
         description="Exact Gelfand-Tsetlin bases for alternating groups in "
@@ -197,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

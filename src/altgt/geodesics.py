@@ -93,7 +93,7 @@ class AltPath:
         return hash(self._labels)
 
     def __str__(self) -> str:
-        return ";".join(str(label) for label in self._labels)
+        return ";".join([label._text for label in self._labels])
 
     def __repr__(self) -> str:
         return f"AltPath.parse({str(self)!r})"

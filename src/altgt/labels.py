@@ -30,12 +30,12 @@ _SIGN_CHARS = {1: "+", -1: "-"}
 class AltLabel:
     """A partition plus an optional sign; signed iff self-conjugate.
 
-    The sort key (rev-lex partition, then + before -) is computed once here,
-    since paths are sorted by the keys of all their labels, and so is the
-    hash, which the label-keyed caches take.
+    Three things are computed once here: the sort key (rev-lex partition,
+    then + before -) that paths sort by, the hash that label-keyed caches
+    take, and the text ("2,1^+") that every printed path and subscript reads.
     """
 
-    __slots__ = ("_partition", "_sign", "_sort_key", "_hash")
+    __slots__ = ("_partition", "_sign", "_sort_key", "_hash", "_text")
 
     def __init__(self, partition: Partition, sign: int | None = None):
         if sign not in (None, 1, -1):
@@ -49,6 +49,7 @@ class AltLabel:
         self._sign = sign
         self._sort_key = (revlex_key(partition), 0 if sign in (None, 1) else 1)
         self._hash = hash((partition, sign))
+        self._text = str(partition) if sign is None else f"{partition}^{_SIGN_CHARS[sign]}"
 
     @classmethod
     def parse(cls, text: str) -> "AltLabel":
@@ -94,9 +95,7 @@ class AltLabel:
         return self._hash
 
     def __str__(self) -> str:
-        if self._sign is None:
-            return str(self._partition)
-        return f"{self._partition}^{_SIGN_CHARS[self._sign]}"
+        return self._text
 
     def __repr__(self) -> str:
         return f"AltLabel.parse({str(self)!r})"
@@ -108,10 +107,8 @@ class AltLabel:
         }
 
     def latex(self) -> str:
-        body = f"({str(self._partition)})"
-        if self._sign is None:
-            return body
-        return f"{body}^{_SIGN_CHARS[self._sign]}"
+        head, sep, sign = self._text.partition("^")
+        return f"({head}){sep}{sign}"
 
 
 @lru_cache(maxsize=None)

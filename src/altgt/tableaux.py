@@ -140,9 +140,15 @@ class StandardTableau:
     def __hash__(self) -> int:
         return hash(self._word)
 
+    def joined(self, row_sep: str, entry_sep: str) -> str:
+        """Each row's entries joined by entry_sep, and the rows by row_sep."""
+        rows: list[list[str]] = [[] for _ in self._shape.parts]
+        for entry, r in enumerate(self._word, 1):
+            rows[r].append(str(entry))
+        return row_sep.join([entry_sep.join(row) for row in rows])
+
     def __str__(self) -> str:
-        sep = " " if self.n > 9 else ""
-        return "/".join(sep.join(str(e) for e in row) for row in self.rows)
+        return self.joined("/", " " if self.n > 9 else "")
 
     def __repr__(self) -> str:
         return f"StandardTableau.parse({str(self)!r})"
@@ -152,8 +158,7 @@ class StandardTableau:
 
     def latex(self) -> str:
         """Subscript form used in basis-vector notation: rows joined by commas."""
-        sep = "\\," if self.n > 9 else ""
-        return ",".join(sep.join(str(e) for e in row) for row in self.rows)
+        return self.joined(",", "\\," if self.n > 9 else "")
 
 
 def append_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:

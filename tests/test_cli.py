@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altgt import yor
+from altgt import cli, yor
 from altgt.cli import main
+from altgt.gt import gt_basis
+from altgt.labels import labels
 from altgt.partitions import partitions_of
 from altgt.scalars import I, Scalar
 from test_verify import column_flip
@@ -227,6 +229,38 @@ def test_gt_json(capsys):
     assert coeffs[((1, 3), (2,))] == I.to_json()
 
 
+def _label_text(label):
+    # written from the partition and sign, not from AltLabel's own text
+    sign = {None: "", 1: "^+", -1: "^-"}[label.sign]
+    parts = ",".join(map(str, label.partition.parts))
+    return f"{parts}{sign}", f"({parts}){sign}"
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_gt_output_matches_whole_payload_rendering(capsys, n, normalize):
+    # the writer streams each vector; it must give exactly what one
+    # json.dumps(payload, indent=2) and the per-vector f-strings give
+    flag = ["--normalize"] if normalize else []
+    for label in labels(n):
+        basis = gt_basis(label, normalize=normalize)
+        payload = [
+            {"path": path.to_json(),
+             "terms": [{"tableau": t.to_json(), "coeff": c.to_json()} for t, c in vector.items()]}
+            for path, vector in basis
+        ]
+        texts = [[_label_text(lb) for lb in path] for path, _ in basis]
+        expected = {
+            "json": json.dumps(payload, indent=2) + "\n",
+            "text": "".join(f"u[{';'.join(t for t, _ in text)}] = {vector}\n"
+                            for text, (_, vector) in zip(texts, basis)),
+            "latex": "".join(f"u_{{{','.join(x for _, x in text)}}} = {vector.latex()}\n"
+                             for text, (_, vector) in zip(texts, basis)),
+        }
+        for fmt, want in expected.items():
+            assert run_cli(capsys, "gt", str(label), "--format", fmt, *flag) == (0, want, ""), (label, fmt)
+
+
 def test_gt_rejects_missing_sign(capsys):
     code, _, err = run_cli(capsys, "gt", "2,1")
     assert code == 2
@@ -276,19 +310,36 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL yor   shape 2,1" in out
 
 
+def _python_env():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def _read_first_line_then_close(*argv):
+    """Run the CLI, close its stdout after one line; (first line, exit, stderr)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "altgt.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    return first, proc.wait(timeout=60), err
+
+
 def test_closed_stdout_exits_cleanly():
     # the output (about 110 kB) overflows the pipe buffer, so writing
     # continues after the reader has closed its end
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "altgt.cli", "gt", "4,3,2,1^+"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline().startswith(b"u[2;")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (0, b"")
+    first, code, err = _read_first_line_then_close("gt", "4,3,2,1^+")
+    assert first.startswith(b"u[2;")
+    assert (code, err) == (0, b"")
+
+
+def test_closed_stdout_exits_cleanly_from_json():
+    # JSON is written a vector at a time, so later writes meet the closed pipe
+    first, code, err = _read_first_line_then_close("gt", "4,3,2,1^+", "--format", "json")
+    assert first == b"[\n"
+    assert (code, err) == (0, b"")
 
 
 def test_argparse_errors(capsys):
@@ -302,6 +353,28 @@ def test_argparse_errors(capsys):
         main(["nonsense"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # importing the module builds no parser; a fresh process gives the
+    # reference output of the last command below
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import altgt.cli as cli\n"
+         "assert cli.build_parser.cache_info().currsize == 0\n"
+         "raise SystemExit(cli.main(['gt', '4,1,1']))"],
+        capture_output=True, text=True, env=_python_env(), timeout=60,
+    )
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as info:
+        main(["gt", "4,1,1", "--format", "yaml"])
+    assert info.value.code == 2
+    assert run_cli(capsys, "gt", "2,1")[0] == 2  # a ValueError: no sign
+    assert run_cli(capsys, "gt", "4,1,1", "--normalize", "--format", "json")[0] == 0
+    # no option of an earlier call leaks into this one
+    assert run_cli(capsys, "gt", "4,1,1") == (0, fresh.stdout, "")
+    stats = cli.build_parser.cache_info()
+    assert (stats.misses, stats.hits) == (1, 3)
 
 
 def test_deterministic_output(capsys):
