@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .partitions import Partition
 from .scalars import Scalar, i_power
-from .tableaux import StandardTableau, enumerate_syt, permutation_sign
+from .tableaux import StandardTableau, enumerate_syt, permutation_sign, syt_ranks
 from .yor import GTVector
 
 
@@ -40,9 +40,8 @@ def assoc_coeff(tableau: StandardTableau) -> Scalar:
 @lru_cache(maxsize=None)
 def _phi_table(shape: Partition) -> tuple[array, tuple[Scalar, ...]]:
     """By rank: the rank of each tableau's transpose, and its assoc_coeff."""
-    basis = enumerate_syt(shape)
+    basis, rank = enumerate_syt(shape), syt_ranks(shape)
     roots = tuple(assoc_coeff(t) for t in basis)  # raises unless self-conjugate
-    rank = {t: k for k, t in enumerate(basis)}
     return array("l", (rank[t.conjugate()] for t in basis)), roots
 
 

@@ -122,11 +122,6 @@ def _cmd_gt(args) -> int:
     return 0
 
 
-# a term's tableau, 8 spaces deep in indent=2 layout: open, row sep, entry sep, close
-_TABLEAU_JSON = ("[\n          [\n            ", "\n          ],\n          [\n            ",
-                 ",\n            ", "\n          ]\n        ]")
-
-
 def _nested_json(memo: dict, obj, indent: int) -> str:
     """json.dumps(obj.to_json(), indent=2) `indent` spaces deep, once per object."""
     text = memo.get(obj)
@@ -137,13 +132,12 @@ def _nested_json(memo: dict, obj, indent: int) -> str:
 
 def _write_gt_json(basis) -> None:
     """Print json.dumps(payload, indent=2) of the gt payload a vector at a time."""
-    labels, coeffs, write = {}, {}, sys.stdout.write
-    open_, row_sep, entry_sep, close = _TABLEAU_JSON
+    labels, tableaux, coeffs, write = {}, {}, {}, sys.stdout.write
     sep = "[\n"
     for path, vector in basis:
         path_json = ",\n      ".join([_nested_json(labels, lb, 6) for lb in path])
         terms_json = ",\n      ".join([
-            f'{{\n        "tableau": {open_}{t.joined(row_sep, entry_sep)}{close},'
+            f'{{\n        "tableau": {_nested_json(tableaux, t, 8)},'
             f'\n        "coeff": {_nested_json(coeffs, c, 8)}\n      }}'
             for t, c in vector.items()
         ])

@@ -19,10 +19,10 @@ canonical label.  Path text joins labels with ";": "2;2,1^+;3,1".
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
-from .labels import AltLabel, canonical_label, dagger_down_set, equivalent, in_dagger
+from .labels import (AltLabel, canonical_label, conjugate_label, dagger_down_set,
+                     equivalent, in_dagger)
 from .partitions import cached_upward
 
 
@@ -131,11 +131,6 @@ def _run_starts(path: AltPath) -> list[int]:
                   if labels[k - 1].is_signed() and not labels[k].is_signed()]
 
 
-@lru_cache(maxsize=None)
-def _conjugate(label: AltLabel) -> AltLabel:
-    return label if label.is_signed() else AltLabel(label.partition.conjugate())
-
-
 def class_members(path: AltPath) -> tuple[AltPath, ...]:
     """The members of the path's class that end at its endpoint, sorted:
     each block from one run start to the next is kept or, if a signed label
@@ -143,7 +138,7 @@ def class_members(path: AltPath) -> tuple[AltPath, ...]:
     labels = path.labels
     bounds = _run_starts(path) + [len(labels)]
     blocks = [labels[start:end] for start, end in zip(bounds, bounds[1:])]
-    choices = [(block, tuple(map(_conjugate, block))) if block[-1].is_signed() else (block,)
+    choices = [(block, tuple(map(conjugate_label, block))) if block[-1].is_signed() else (block,)
                for block in blocks]
     members = (AltPath._trusted(sum(combo, ())) for combo in product(*choices))
     return tuple(sorted(members, key=AltPath.sort_key))

@@ -31,7 +31,7 @@ from .geodesics import AltPath, geodesic_representatives
 from .labels import AltLabel, dim_alt
 from .partitions import Partition
 from .scalars import ONE, sqrt_rational
-from .tableaux import append_box, enumerate_syt
+from .tableaux import append_box, enumerate_syt, syt_ranks
 from .yor import GTVector
 
 
@@ -44,7 +44,7 @@ def _cover_map(shape: Partition) -> dict[Partition, array]:
     smaller shape, so adding it keeps row-word order and each array
     increases.
     """
-    rank = {t: k for k, t in enumerate(enumerate_syt(shape))}
+    rank = syt_ranks(shape)
     return {
         below: array("l", (rank[append_box(t, shape)] for t in enumerate_syt(below)))
         for below in shape.down_set()

@@ -140,7 +140,7 @@ def in_dagger(below: AltLabel, above: AltLabel) -> bool:
         raise ValueError(
             f"levels must be consecutive, got {below.n} under {above.n}"
         )
-    return below in _dagger_members(above)
+    return below in dagger_down_set(above)
 
 
 @lru_cache(maxsize=None)
@@ -162,11 +162,6 @@ def dagger_down_set(label: AltLabel) -> tuple[AltLabel, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _dagger_members(label: AltLabel) -> frozenset[AltLabel]:
-    return frozenset(dagger_down_set(label))
-
-
 def dim_alt(label: AltLabel) -> int:
     """Dimension: the tableau count of the partition, halved when signed."""
     count = syt_count(label.partition)
@@ -178,11 +173,15 @@ def dim_alt(label: AltLabel) -> int:
 
 
 @lru_cache(maxsize=None)
+def conjugate_label(label: AltLabel) -> AltLabel:
+    """The label of the conjugate partition; signed labels are fixed."""
+    return label if label.is_signed() else AltLabel(label.partition.conjugate())
+
+
+@lru_cache(maxsize=None)
 def canonical_label(label: AltLabel) -> AltLabel:
-    """Rev-lex earlier member of the equivalence class (signed labels fixed)."""
-    if label.is_signed():
-        return label
-    return AltLabel(label.partition.canonical_pair_rep())
+    """The member of the label's equivalence class that sorts first."""
+    return min(label, conjugate_label(label), key=AltLabel.sort_key)
 
 
 class BranchingGraph:

@@ -129,11 +129,6 @@ class Partition:
             raise ValueError(f"{self} is not self-conjugate")
         return next((below for below in self._corners() if below.is_self_conjugate()), None)
 
-    def canonical_pair_rep(self) -> "Partition":
-        """The rev-lex earlier of this partition and its conjugate."""
-        conj = self.conjugate()
-        return self if revlex_key(self) <= revlex_key(conj) else conj
-
 
 def cached_upward(down, bottom: int):
     """lru_cache for a recursion over a graded lattice, such as Young's,

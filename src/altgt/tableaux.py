@@ -72,7 +72,7 @@ class StandardTableau:
                 raise ValueError(f"empty row in tableau text {text!r}")
             tokens = chunk.split() if spaced else list(chunk)
             for tok in tokens:
-                if not tok.isdigit():
+                if not (tok.isascii() and tok.isdigit()):
                     raise ValueError(f"invalid tableau entry {tok!r}")
             rows.append([int(t) for t in tokens])
         return cls(rows)
@@ -180,6 +180,13 @@ def enumerate_syt(shape: Partition) -> tuple[StandardTableau, ...]:
     ]
     found.sort(key=StandardTableau.row_word)
     return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def syt_ranks(shape: Partition) -> dict[StandardTableau, int]:
+    """Each tableau of a shape mapped to its rank, its index in
+    enumerate_syt(shape)."""
+    return {t: k for k, t in enumerate(enumerate_syt(shape))}
 
 
 @cached_upward(Partition.down_set, 1)

@@ -16,8 +16,8 @@ tableaux.
 Inside the library a vector maps the rank of each tableau, its index in
 ``enumerate_syt(shape)`` (row-word order), to its coefficient.  Tableaux
 are the parse and print type: the ``GTVector`` constructor, ``basis`` and
-``coefficient`` turn a tableau into its rank, and ``items()`` and
-``support()`` turn ranks back into tableaux, in rank order.
+``coefficient`` turn a tableau into its rank through ``syt_ranks``, and
+``items()`` and ``support()`` turn ranks back into tableaux, in rank order.
 
 Only the public entry points check their input: the ``GTVector``
 constructor, which checks every tableau's shape and drops zero
@@ -41,17 +41,16 @@ adding box n gives from the cover map.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition
 from .scalars import I, ONE, ZERO, Scalar, sqrt_rational
-from .tableaux import StandardTableau, enumerate_syt
+from .tableaux import StandardTableau, enumerate_syt, syt_ranks
 
 
-# how GTVector.latex writes the four roots of unity as coefficients
-_UNIT_LATEX = {ONE: "", -ONE: "-", I: "i ", -I: "-i "}
+# how GTVector.latex writes the four roots of unity as coefficients, by terms()
+_UNIT_LATEX = {c.terms(): s for c, s in ((ONE, ""), (-ONE, "-"), (I, "i "), (-I, "-i "))}
 
 
 class GTVector:
@@ -62,6 +61,7 @@ class GTVector:
     def __init__(self, shape: Partition, terms=None):
         clean: dict[int, Scalar] = {}
         if terms:
+            ranks = syt_ranks(shape)
             for tableau, coeff in terms.items():
                 if tableau.shape != shape:
                     raise ValueError(
@@ -71,7 +71,7 @@ class GTVector:
                     coeff = Scalar.rational(coeff)
                 if coeff.is_zero():
                     continue
-                clean[_rank(tableau)] = coeff
+                clean[ranks[tableau]] = coeff
         self._shape = shape
         self._terms = clean
 
@@ -104,7 +104,7 @@ class GTVector:
     def coefficient(self, tableau: StandardTableau) -> Scalar:
         if tableau.shape != self._shape:
             return ZERO
-        return self._terms.get(_rank(tableau), ZERO)
+        return self._terms.get(syt_ranks(self._shape)[tableau], ZERO)
 
     def support(self) -> tuple[StandardTableau, ...]:
         return tuple(t for t, _ in self.items())
@@ -173,7 +173,7 @@ class GTVector:
             return "0"
         terms = []
         for t, c in self.items():
-            coeff = _UNIT_LATEX.get(c)
+            coeff = _UNIT_LATEX.get(c.terms())
             if coeff is None:
                 coeff = c.latex()
                 if "+" in coeff[1:] or "-" in coeff[1:]:
@@ -183,13 +183,6 @@ class GTVector:
 
     def __repr__(self) -> str:
         return f"GTVector({self._shape!r}, {dict(self.items())!r})"
-
-
-def _rank(tableau: StandardTableau) -> int:
-    """The index of a tableau in enumerate_syt(tableau.shape), which is
-    sorted by row word."""
-    basis = enumerate_syt(tableau.shape)
-    return bisect_left(basis, tableau.row_word(), key=StandardTableau.row_word)
 
 
 def _accumulate(terms: dict, rank: int, coeff: Scalar) -> None:
@@ -218,8 +211,7 @@ def _generator_table(shape: Partition) -> tuple[tuple[array, array], ...]:
     in T and the rank of T'.  r is 1 when i and i+1 share a row and -1 when
     they share a column, and then the partner is T itself.  The arrays are
     shared through the cache, and nothing modifies them."""
-    basis = enumerate_syt(shape)
-    rank = {t: k for k, t in enumerate(basis)}
+    basis, rank = enumerate_syt(shape), syt_ranks(shape)
     table = []
     for i in range(1, shape.n):
         distances, partners = array("b"), array("l")

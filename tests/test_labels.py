@@ -7,6 +7,7 @@ from altgt.labels import (
     AltLabel,
     bratteli,
     canonical_label,
+    conjugate_label,
     dagger_down_set,
     dim_alt,
     equivalent,
@@ -133,9 +134,19 @@ def test_level_dimension_totals():
 
 
 def test_canonical_label():
-    assert canonical_label(lab("1,1,1")) == lab("3")
-    assert canonical_label(lab("3,1")) == lab("3,1")
-    assert canonical_label(lab("2,1^-")) == lab("2,1^-")
+    cases = {"1,1,1": "3", "3,1": "3,1", "2,1,1": "3,1", "2,1^+": "2,1^+", "2,1^-": "2,1^-"}
+    for text, expected in cases.items():
+        assert canonical_label(lab(text)) == lab(expected)
+
+
+def test_conjugate_label():
+    for n in range(2, 9):
+        for label in labels(n):
+            conj = conjugate_label(label)
+            assert conj.partition == label.partition.conjugate()
+            assert conjugate_label(conj) == label
+            if label.is_signed():
+                assert conj == label
 
 
 def test_bratteli_nodes_and_edges():

@@ -121,13 +121,6 @@ def test_cover_partner_consistency():
                 assert shape.covers(small)
 
 
-def test_canonical_pair_rep():
-    assert Partition((1, 1, 1)).canonical_pair_rep() == Partition((3,))
-    assert Partition((3, 1)).canonical_pair_rep() == Partition((3, 1))
-    assert Partition((2, 1, 1)).canonical_pair_rep() == Partition((3, 1))
-    assert Partition((2, 1)).canonical_pair_rep() == Partition((2, 1))
-
-
 def test_partitions_of_order():
     assert [str(p) for p in partitions_of(4)] == ["4", "3,1", "2,2", "2,1,1", "1,1,1,1"]
     assert len(partitions_of(8)) == 22

@@ -46,6 +46,10 @@ def test_parse_and_render():
     for bad in ("12/x", "12//3", ""):
         with pytest.raises(ValueError):
             StandardTableau.parse(bad)
+    # digits outside ASCII are named, not read as 12/3 or passed on to int()
+    for bad, token in (("１２/３", "１"), ("1²/3", "²")):
+        with pytest.raises(ValueError, match=f"invalid tableau entry {token!r}"):
+            StandardTableau.parse(bad)
 
 
 def test_shape_and_positions():

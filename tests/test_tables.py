@@ -4,7 +4,7 @@ read cells off each tableau's rows."""
 from altgt import associator, gt, yor
 from altgt.partitions import partitions_of, self_conjugate_partitions
 from altgt.scalars import I, ONE
-from altgt.tableaux import enumerate_syt, reference_tableau
+from altgt.tableaux import enumerate_syt, reference_tableau, syt_ranks
 from oracles import (
     add_box,
     brute_force_cover_rows,
@@ -16,6 +16,13 @@ from oracles import (
 )
 
 SHAPES = [shape for n in range(1, 8) for shape in partitions_of(n)]
+
+
+def test_syt_ranks_index_enumerate_syt():
+    for shape in (shape for n in range(1, 9) for shape in partitions_of(n)):
+        basis = enumerate_syt(shape)
+        assert syt_ranks(shape) == {t: basis.index(t) for t in basis}
+        assert syt_ranks(shape) is syt_ranks(shape)  # built once per shape
 
 
 def decoded(r: int, partner: int, k: int, basis) -> dict:

@@ -19,6 +19,7 @@ def test_vector_canonicalization():
     v = GTVector(Partition((2, 1)), {t1: ONE, t2: Scalar()})
     assert v.support() == (t1,)
     assert v.coefficient(t2).is_zero()
+    assert v.coefficient(StandardTableau.parse("123")).is_zero()  # another shape
     assert (v - v).is_zero()
 
 
