@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from altgt.labels import AltLabel, canonical_label
 from altgt.partitions import (
     Partition,
     partitions_of,
@@ -119,6 +120,16 @@ def test_cover_partner_consistency():
                 assert small.n == shape.n - 1
                 assert small.diagonal_length() == shape.diagonal_length() - 1
                 assert shape.covers(small)
+
+
+def test_canonical_pair_rep():
+    def rep(parts, sign=None):
+        return canonical_label(AltLabel(Partition(parts), sign)).partition
+
+    assert rep((1, 1, 1)) == Partition((3,))
+    assert rep((3, 1)) == Partition((3, 1))
+    assert rep((2, 1, 1)) == Partition((3, 1))
+    assert rep((2, 1), 1) == rep((2, 1), -1) == Partition((2, 1))
 
 
 def test_partitions_of_order():
