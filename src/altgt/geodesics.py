@@ -20,9 +20,9 @@ canonical label.  Path text joins labels with ";": "2;2,1^+;3,1".
 from __future__ import annotations
 
 from itertools import product
+from operator import is_
 
-from .labels import (AltLabel, canonical_label, conjugate_label, dagger_down_set,
-                     equivalent, in_dagger)
+from .labels import AltLabel, canonical_label, conjugate_label, dagger_down_set, in_dagger
 from .partitions import cached_upward
 
 
@@ -76,7 +76,7 @@ class AltPath:
         return self._labels[-1].n
 
     def sort_key(self):
-        return tuple(label.sort_key() for label in self._labels)
+        return tuple([label._sort_key for label in self._labels])
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -117,10 +117,11 @@ def enumerate_paths(label: AltLabel) -> tuple[AltPath, ...]:
 
 
 def path_equivalent(a: AltPath, b: AltPath) -> bool:
-    """Componentwise equivalence of two paths of the same length."""
+    """Componentwise equivalence of two paths of the same length: at each
+    level the two canonical labels are one object, since labels are interned."""
     if len(a) != len(b):
         raise ValueError(f"paths of different lengths {len(a)} and {len(b)}")
-    return all(equivalent(x, y) for x, y in zip(a, b))
+    return all(map(is_, map(canonical_label, a._labels), map(canonical_label, b._labels)))
 
 
 def _run_starts(path: AltPath) -> list[int]:

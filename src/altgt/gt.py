@@ -93,7 +93,7 @@ def gt_vectors(paths, normalize: bool = False) -> Iterator[GTVector]:
     for path in paths:
         labels = path.labels
         keep = 0
-        while keep < min(len(stack), len(labels)) and stack[keep][0] == labels[keep]:
+        while keep < min(len(stack), len(labels)) and stack[keep][0] is labels[keep]:
             keep += 1
         del stack[keep:]
         for head in labels[keep:]:

@@ -6,6 +6,12 @@ written plain; a self-conjugate partition splits into two, written with a
 sign tag ("2,1^+", "2,1^-").  Two labels at the same level are equivalent
 when equal or conjugate; conjugation fixes each signed label.
 
+There is one object per label, so equality is identity.  Hash, sort key and
+text are read from content, never from ids, so no hash order, sort or output
+depends on which object came first.  `Partition` is not interned yet: the
+benchmark's tracer counts its `__init__` calls as `partitions.inits`, and
+interning would change that count.
+
 Branching from level n to n-1 (the dagger relation) follows containment of
 the underlying partitions:
 
@@ -25,19 +31,24 @@ from .partitions import Partition, partitions_of, revlex_key
 from .tableaux import syt_count
 
 _SIGN_CHARS = {1: "+", -1: "-"}
+_INTERNED: dict[tuple[Partition, int | None], "AltLabel"] = {}
 
 
 class AltLabel:
     """A partition plus an optional sign; signed iff self-conjugate.
 
-    Three things are computed once here: the sort key (rev-lex partition,
-    then + before -) that paths sort by, the hash that label-keyed caches
-    take, and the text ("2,1^+") that every printed path and subscript reads.
+    One object per label: the constructor returns the stored object for each
+    (partition, sign) and validates only on first sight, so `==` is identity.
+    Computed once, from content: the sort key (rev-lex partition, then +
+    before -), the hash of (partition, sign) and the text ("2,1^+").
     """
 
     __slots__ = ("_partition", "_sign", "_sort_key", "_hash", "_text")
 
-    def __init__(self, partition: Partition, sign: int | None = None):
+    def __new__(cls, partition: Partition, sign: int | None = None) -> "AltLabel":
+        label = _INTERNED.get((partition, sign))
+        if label is not None:
+            return label
         if sign not in (None, 1, -1):
             raise ValueError(f"sign must be None, 1 or -1, got {sign!r}")
         if partition.is_self_conjugate():
@@ -45,11 +56,14 @@ class AltLabel:
                 raise ValueError(f"self-conjugate partition {partition} needs a sign")
         elif sign is not None:
             raise ValueError(f"partition {partition} is not self-conjugate; no sign allowed")
-        self._partition = partition
-        self._sign = sign
-        self._sort_key = (revlex_key(partition), 0 if sign in (None, 1) else 1)
-        self._hash = hash((partition, sign))
-        self._text = str(partition) if sign is None else f"{partition}^{_SIGN_CHARS[sign]}"
+        label = super().__new__(cls)
+        label._partition = partition
+        label._sign = sign
+        label._sort_key = (revlex_key(partition), 0 if sign in (None, 1) else 1)
+        label._hash = hash((partition, sign))
+        label._text = str(partition) if sign is None else f"{partition}^{_SIGN_CHARS[sign]}"
+        _INTERNED[partition, sign] = label
+        return label
 
     @classmethod
     def parse(cls, text: str) -> "AltLabel":
@@ -86,11 +100,6 @@ class AltLabel:
     def sort_key(self):
         return self._sort_key
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AltLabel):
-            return NotImplemented
-        return self._partition == other._partition and self._sign == other._sign
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -111,26 +120,19 @@ class AltLabel:
         return f"({head}){sep}{sign}"
 
 
+def _labels_of(partition: Partition, signs: tuple[int, ...]) -> tuple[AltLabel, ...]:
+    """The partition's label if it is not self-conjugate, else one per sign."""
+    if partition.is_self_conjugate():
+        return tuple(AltLabel(partition, sign) for sign in signs)
+    return (AltLabel(partition),)
+
+
 @lru_cache(maxsize=None)
 def labels(n: int) -> tuple[AltLabel, ...]:
     """All labels at level n >= 2, partitions in rev-lex order, + before -."""
     if n < 2:
         raise ValueError(f"labels are defined for n >= 2, got {n}")
-    out = []
-    for p in partitions_of(n):
-        if p.is_self_conjugate():
-            out.append(AltLabel(p, 1))
-            out.append(AltLabel(p, -1))
-        else:
-            out.append(AltLabel(p))
-    return tuple(out)
-
-
-def equivalent(a: AltLabel, b: AltLabel) -> bool:
-    """Same representation: equal, or unsigned conjugates of each other."""
-    if a.n != b.n:
-        raise ValueError(f"labels of different sizes {a.n} and {b.n}")
-    return canonical_label(a) == canonical_label(b)
+    return tuple(label for p in partitions_of(n) for label in _labels_of(p, (1, -1)))
 
 
 def in_dagger(below: AltLabel, above: AltLabel) -> bool:
@@ -148,18 +150,9 @@ def dagger_down_set(label: AltLabel) -> tuple[AltLabel, ...]:
     """Labels at level n-1 lying under this one, in deterministic order."""
     if label.n < 3:
         raise ValueError(f"branching needs level >= 3, got {label.n}")
-    out = []
-    for below in label.partition.down_set():
-        if below.is_self_conjugate():
-            if label.is_signed():
-                out.append(AltLabel(below, label.sign))
-            else:
-                out.append(AltLabel(below, 1))
-                out.append(AltLabel(below, -1))
-        else:
-            out.append(AltLabel(below))
-    out.sort(key=AltLabel.sort_key)
-    return tuple(out)
+    signs = (label.sign,) if label.is_signed() else (1, -1)
+    out = [below for p in label.partition.down_set() for below in _labels_of(p, signs)]
+    return tuple(sorted(out, key=AltLabel.sort_key))
 
 
 def dim_alt(label: AltLabel) -> int:

@@ -214,6 +214,8 @@ def _gt_failure(label: AltLabel) -> str | None:
     if len(paths) != dim_alt(label):
         return f"{len(paths)} classes, expected dimension {dim_alt(label)}"
     for p, v in zip(paths, vectors):
+        if not v._terms:
+            return f"zero vector on {p}"
         if not all(c.is_fourth_root() for c in v._terms.values()):
             return f"non-unit coefficient on {p}"
     # every term's partial shapes must follow the path up to conjugation;

@@ -63,6 +63,16 @@ def transpose_cells(shape: Partition) -> Partition:
     return Partition([rows[r] for r in sorted(rows)])
 
 
+def equivalent(a: AltLabel, b: AltLabel) -> bool:
+    """Same representation, read off content rather than object identity:
+    the same partition and sign, or unsigned with transposed cell sets."""
+    if a.n != b.n:
+        raise ValueError(f"labels of different sizes {a.n} and {b.n}")
+    if (a.partition, a.sign) == (b.partition, b.sign):
+        return True
+    return not a.is_signed() and not b.is_signed() and transpose_cells(a.partition) == b.partition
+
+
 def brute_force_cover_rows(shape: Partition) -> dict[Partition, int]:
     """Each partition one box below, mapped to the row of the deleted cell,
     by deleting each cell of the raw cell set that has no cell to its right

@@ -10,7 +10,7 @@ from altgt.geodesics import (
     path_equivalent,
 )
 from altgt.labels import AltLabel, dim_alt, labels
-from oracles import branch_count_r, brute_force_class_members, class_signature
+from oracles import branch_count_r, brute_force_class_members, class_signature, equivalent
 
 
 def path(text):
@@ -77,6 +77,19 @@ def test_path_equivalence():
     assert path_equivalent(a, a)
     with pytest.raises(ValueError):
         path_equivalent(a, path("2;3;3,1"))
+
+
+def test_path_equivalence_matches_componentwise_oracle():
+    for n in range(2, 8):
+        for label in labels(n):
+            found = enumerate_paths(label)
+            for p in found:
+                for q in found:
+                    expected = all(equivalent(x, y) for x, y in zip(p, q))
+                    assert path_equivalent(p, q) == expected
+                if n > 2:
+                    with pytest.raises(ValueError, match="paths of different lengths"):
+                        path_equivalent(p, AltPath(p.labels[:-1]))
 
 
 def test_class_signature_constant_on_members():

@@ -64,16 +64,22 @@ def test_embed():
     v = vec("2,1", [("12/3", ONE), ("13/2", I)])
     up = embed(v, Partition((3, 1)))
     assert up == vec("3,1", [("124/3", ONE), ("134/2", I)])
-    with pytest.raises(ValueError):
+    # each message names both shapes
+    with pytest.raises(ValueError, match="^shape 4,1 does not cover 2,1$"):
         embed(v, Partition((4, 1)))
+    with pytest.raises(ValueError, match="^shape 2,1 does not cover 2,1$"):
+        embed(v, Partition((2, 1)))
 
 
 def test_restrict_keeps_matching_prefixes():
     u = gt_vector(path("2;2,1^+"))
     assert restrict(u, Partition((2,))) == vec("2", [("12", ONE)])
     assert restrict(u, Partition((1, 1))) == vec("1,1", [("1/2", I)])
-    with pytest.raises(ValueError):
+    # each message names both shapes
+    with pytest.raises(ValueError, match="^2,1 is not below 2,1$"):
         restrict(u, Partition((2, 1)))
+    with pytest.raises(ValueError, match="^3 is not below 2,1$"):
+        restrict(u, Partition((3,)))
 
 
 def test_restrict_inverts_embed():

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from altgt import labels as labels_module
 from altgt.labels import (
     AltLabel,
     bratteli,
@@ -10,7 +15,6 @@ from altgt.labels import (
     conjugate_label,
     dagger_down_set,
     dim_alt,
-    equivalent,
     in_dagger,
     labels,
     level_dimension_total,
@@ -18,7 +22,7 @@ from altgt.labels import (
 )
 from altgt.partitions import Partition, revlex_key
 from altgt.tableaux import syt_count
-from oracles import brute_force_syt
+from oracles import brute_force_syt, equivalent
 
 
 def lab(text):
@@ -32,6 +36,31 @@ def test_sign_rules():
         AltLabel(Partition((3, 1)), 1)  # sign only on self-conjugate
     with pytest.raises(ValueError):
         AltLabel(Partition((2, 1)), 2)
+
+
+def test_rejected_labels_are_not_interned():
+    # the valid labels of both partitions are stored
+    lab("2,1^+")
+    lab("3,1")
+    rejected = [
+        ((2, 1), None, "self-conjugate partition 2,1 needs a sign"),
+        ((3, 1), 1, "partition 3,1 is not self-conjugate; no sign allowed"),
+        ((2, 1), 2, "sign must be None, 1 or -1, got 2"),
+    ]
+    for parts, sign, message in rejected:
+        before = dict(labels_module._INTERNED)
+        for _ in range(2):  # a second try is validated again
+            with pytest.raises(ValueError) as info:
+                AltLabel(Partition(parts), sign)
+            assert str(info.value) == message
+        assert labels_module._INTERNED == before
+        assert (Partition(parts), sign) not in labels_module._INTERNED
+
+
+def test_hash_is_the_hash_of_the_content():
+    for n in range(2, 8):
+        for label in labels(n):
+            assert hash(label) == hash((label.partition, label.sign))
 
 
 def test_parse_and_render():
@@ -215,10 +244,45 @@ def test_equal_labels_hash_alike_on_every_route():
         for above in labels(n + 1):
             for below in dagger_down_set(above):
                 routes[str(below)].append(below)
+        for label in labels(n):
+            for other in (conjugate_label(label), canonical_label(label)):
+                routes[str(other)].append(other)
         for found in routes.values():
             first = found[0]
             direct = AltLabel(Partition(tuple(first.partition.parts)), first.sign)
-            assert len(found) > 2
+            assert len(found) > 3
             for label in found:
-                assert label == direct and hash(label) == hash(direct)
+                # one object per label, whatever built it
+                assert label is direct and hash(label) == hash(direct)
         assert len({label for found in routes.values() for label in found}) == len(labels(n))
+
+
+GOLDEN_DIGESTS = json.loads(Path(__file__).with_name("golden_digests.json").read_text())
+
+REVERSED_FIRST = """
+import contextlib, hashlib, io, json, sys
+from altgt.cli import main
+from altgt.labels import labels
+for n in range(9, 1, -1):
+    labels(n)
+digests = {}
+for command in json.loads(sys.stdin.read()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split()) == 0
+    digests[command] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_output_does_not_depend_on_which_label_is_built_first():
+    # a fresh process interns the labels of higher levels first; every pinned
+    # paths and gt output must keep its digest
+    commands = sorted(c for c in GOLDEN_DIGESTS if c.split()[0] in ("paths", "gt"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", REVERSED_FIRST], input=json.dumps(commands),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {c: GOLDEN_DIGESTS[c] for c in commands}

@@ -266,6 +266,24 @@ def test_fault_injection_stray_support(monkeypatch):
     ]
 
 
+def zero_first_vector(paths, normalize=False, _orig=gt.gt_vectors):
+    # the first path of each call is paired with the zero vector
+    vectors = list(_orig(paths, normalize=normalize))
+    return [GTVector.zero(vectors[0].shape)] + vectors[1:]
+
+
+def test_fault_injection_zero_vector(monkeypatch):
+    # a vector with no terms has no coefficient to fail the unit check
+    monkeypatch.setattr(verify, "gt_vectors", zero_first_vector)
+    assert gt_witnesses("2", "1,1", "3", "3,1", "2,1^+") == [
+        "zero vector on 2",
+        "zero vector on 1,1",
+        "zero vector on 2;3",
+        "zero vector on 2;3;3,1",
+        "zero vector on 2;2,1^+",
+    ]
+
+
 def mate_for_neighbour(label, _orig=verify.geodesic_representatives):
     # the representative before the first class with a second member at this
     # label is replaced by that member, so two vectors are proportional
