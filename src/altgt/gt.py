@@ -31,31 +31,32 @@ from .geodesics import AltPath, geodesic_representatives
 from .labels import AltLabel, dim_alt
 from .partitions import Partition
 from .scalars import ONE, sqrt_rational
-from .tableaux import append_box, enumerate_syt, syt_ranks
+from .tableaux import enumerate_syt
 from .yor import GTVector
 
 
 @lru_cache(maxsize=None)
 def _cover_map(shape: Partition) -> dict[Partition, array]:
-    """For each partition one box below the shape, the rank in
-    enumerate_syt(shape) of each of its tableaux, by rank, with box n added.
-
-    Box n goes to the same place in the row word of every tableau of the
-    smaller shape, so adding it keeps row-word order and each array
-    increases.
+    """For each partition one box below the shape, the increasing ranks in
+    enumerate_syt(shape) of the tableaux holding box n in the row of its
+    corner, which are its tableaux with box n added; empty for the single
+    box.  Box n goes to the same place in the row word of each, so item k
+    is the rank of the k-th tableau of the smaller shape, extended.
     """
-    rank = syt_ranks(shape)
-    return {
-        below: array("l", (rank[append_box(t, shape)] for t in enumerate_syt(below)))
-        for below in shape.down_set()
-    }
+    if shape.n < 2:
+        return {}
+    in_row = {shape.cover_row(below): below for below in shape.down_set()}
+    ranks = {below: array("l") for below in in_row.values()}
+    for rank, tableau in enumerate(enumerate_syt(shape)):
+        ranks[in_row[tableau.word[-1]]].append(rank)
+    return ranks
 
 
 def embed(vec: GTVector, shape: Partition) -> GTVector:
     """Include a vector into a covering shape by adding the final box."""
-    if not shape.covers(vec.shape):
+    ranks = _cover_map(shape).get(vec.shape)
+    if ranks is None:
         raise ValueError(f"shape {shape} does not cover {vec.shape}")
-    ranks = _cover_map(shape)[vec.shape]
     return GTVector._trusted(shape, {ranks[r]: c for r, c in vec._terms.items()})
 
 
@@ -66,9 +67,9 @@ def restrict(vec: GTVector, shape: Partition) -> GTVector:
     member of the down set are discarded.  The cover map increases, so a
     bisection finds each term's rank below.
     """
-    if not vec.shape.covers(shape):
+    ranks = _cover_map(vec.shape).get(shape)
+    if ranks is None:
         raise ValueError(f"{shape} is not below {vec.shape}")
-    ranks = _cover_map(vec.shape)[shape]
     out = {}
     for rank, coeff in vec._terms.items():
         below = bisect_left(ranks, rank)

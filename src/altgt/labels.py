@@ -8,9 +8,7 @@ when equal or conjugate; conjugation fixes each signed label.
 
 There is one object per label, so equality is identity.  Hash, sort key and
 text are read from content, never from ids, so no hash order, sort or output
-depends on which object came first.  `Partition` is not interned yet: the
-benchmark's tracer counts its `__init__` calls as `partitions.inits`, and
-interning would change that count.
+depends on which object came first.
 
 Branching from level n to n-1 (the dagger relation) follows containment of
 the underlying partitions:

@@ -4,23 +4,27 @@ from __future__ import annotations
 
 from functools import lru_cache, wraps
 
+_INTERNED: dict[tuple[int, ...], "Partition"] = {}
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers.
 
-    Every partition, derived ones included, comes from the validating
-    constructor (or `parse`); none is trusted.  The size is stored, and
-    `conjugate` and the corner map are cached per partition, and so is the
-    hash, which every cache keyed on a partition takes.  The corner
-    map sends each partition one box below to the row of the removed
-    corner; `down_set` lists its keys, `covers` is a membership test in it
-    and `cover_row` a lookup.
+    One object per partition: the constructor returns the stored object for
+    each tuple of parts and validates only on first sight, so `==` is
+    identity; a rejected value stores nothing.  Size and hash are computed
+    once, from content.  `conjugate` and the corner map, which sends each
+    partition one box below to the row of the removed corner, are cached
+    per partition; `down_set` lists its keys and `cover_row` looks a row up.
     """
 
     __slots__ = ("_parts", "_n", "_hash")
 
-    def __init__(self, parts):
+    def __new__(cls, parts) -> "Partition":
         parts = tuple(int(p) for p in parts)
+        partition = _INTERNED.get(parts)
+        if partition is not None:
+            return partition
         if not parts:
             raise ValueError("a partition needs at least one part")
         for a, b in zip(parts, parts[1:]):
@@ -28,9 +32,11 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts[-1] < 1:
             raise ValueError(f"parts must be positive, got {parts}")
-        self._parts = parts
-        self._n = sum(parts)
-        self._hash = hash(parts)
+        partition = _INTERNED[parts] = super().__new__(cls)
+        partition._parts = parts
+        partition._n = sum(parts)
+        partition._hash = hash(parts)
+        return partition
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -39,7 +45,10 @@ class Partition:
         for tok in tokens:
             if not (tok.isascii() and tok.isdigit()):
                 raise ValueError(f"invalid partition part {tok!r}")
-            parts.append(int(tok))
+            try:
+                parts.append(int(tok))
+            except ValueError:  # more digits than int() will convert
+                raise ValueError(f"invalid partition part {tok[:20] + '…'!r}") from None
         return cls(parts)
 
     @property
@@ -59,11 +68,6 @@ class Partition:
     def __iter__(self):
         return iter(self._parts)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._parts == other._parts
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -82,7 +86,7 @@ class Partition:
         return Partition(cols)
 
     def is_self_conjugate(self) -> bool:
-        return self == self.conjugate()
+        return self is self.conjugate()
 
     def diagonal_length(self) -> int:
         """Number of diagonal cells: max i with lambda_i >= i (1-based)."""
@@ -111,9 +115,6 @@ class Partition:
         if self._n < 2:
             raise ValueError(f"no partitions below {self}")
         return tuple(self._corners())
-
-    def covers(self, other: "Partition") -> bool:
-        return other in self._corners()
 
     def cover_row(self, smaller: "Partition") -> int:
         """The 0-based row of the box that this partition has and a

@@ -13,6 +13,7 @@ from itertools import permutations, product
 from math import isqrt, lcm
 
 from altgt import AltLabel, AltPath, Partition, StandardTableau
+from altgt.tableaux import append_box, enumerate_syt, syt_ranks
 
 
 def brute_force_syt(shape: Partition) -> set[StandardTableau]:
@@ -187,6 +188,18 @@ def remove_largest(t: StandardTableau) -> StandardTableau:
     """t without its entry n."""
     rows = [[e for e in row if e != t.n] for row in t.rows]
     return StandardTableau([r for r in rows if r])
+
+
+def append_box_cover_map(shape: Partition) -> dict[Partition, list[int]]:
+    """The cover map built tableau by tableau: each tableau of each partition
+    one box below, extended by box n with `append_box` and looked up in
+    `syt_ranks(shape)`.  Unlike the rest of this module it uses the
+    library's own tables; it is the second construction of the map."""
+    rank = syt_ranks(shape)
+    return {
+        below: [rank[append_box(t, shape)] for t in enumerate_syt(below)]
+        for below in shape.down_set()
+    }
 
 
 # The scalar ring, without altgt.scalars arithmetic.  A raw value is a list

@@ -45,6 +45,16 @@ def test_syt_rejects_non_ascii_digits(capsys, part):
     assert err == f"error: invalid partition part {part!r}\n"
 
 
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not MAX_DIGITS, reason="int() converts any number of digits")
+def test_syt_rejects_a_part_too_long_to_convert(capsys):
+    code, out, err = run_cli(capsys, "syt", "9" * (MAX_DIGITS + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid partition part '{'9' * 20}…'\n"
+
+
 @pytest.mark.parametrize("command", ["gt", "paths"])
 @pytest.mark.parametrize("label", ["1", "1^+", "1^-"])
 def test_label_below_level_two(capsys, command, label):

@@ -7,10 +7,11 @@ from altgt.associator import apply_phi
 from altgt.geodesics import AltPath, enumerate_paths, geodesic_representatives
 from altgt.gt import embed, gt_basis, gt_vector, gt_vectors, restrict
 from altgt.labels import AltLabel, labels
-from altgt.partitions import Partition
+from altgt.partitions import Partition, partitions_of
 from altgt.scalars import I, ONE, Scalar, sqrt_rational
 from altgt.tableaux import StandardTableau
 from altgt.yor import GTVector
+from oracles import append_box_cover_map
 
 
 def vec(shape_text, terms):
@@ -69,6 +70,9 @@ def test_embed():
         embed(v, Partition((4, 1)))
     with pytest.raises(ValueError, match="^shape 2,1 does not cover 2,1$"):
         embed(v, Partition((2, 1)))
+    # the single box covers nothing: its cover map is empty
+    with pytest.raises(ValueError, match="^shape 1 does not cover 1$"):
+        embed(vec("1", [("1", ONE)]), Partition((1,)))
 
 
 def test_restrict_keeps_matching_prefixes():
@@ -80,6 +84,17 @@ def test_restrict_keeps_matching_prefixes():
         restrict(u, Partition((2, 1)))
     with pytest.raises(ValueError, match="^3 is not below 2,1$"):
         restrict(u, Partition((3,)))
+    with pytest.raises(ValueError, match="^1 is not below 1$"):
+        restrict(vec("1", [("1", ONE)]), Partition((1,)))
+
+
+def test_cover_map_matches_append_box_construction():
+    for n in range(2, 9):
+        for shape in partitions_of(n):
+            cover = gt._cover_map(shape)
+            expected = append_box_cover_map(shape)
+            assert list(cover) == list(expected)  # down-set order
+            assert {below: list(ranks) for below, ranks in cover.items()} == expected
 
 
 def test_restrict_inverts_embed():

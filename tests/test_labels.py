@@ -259,12 +259,9 @@ def test_equal_labels_hash_alike_on_every_route():
 
 GOLDEN_DIGESTS = json.loads(Path(__file__).with_name("golden_digests.json").read_text())
 
-REVERSED_FIRST = """
+DIGESTS_AFTER_WARM_UP = """
 import contextlib, hashlib, io, json, sys
 from altgt.cli import main
-from altgt.labels import labels
-for n in range(9, 1, -1):
-    labels(n)
 digests = {}
 for command in json.loads(sys.stdin.read()):
     out = io.StringIO()
@@ -275,14 +272,34 @@ print(json.dumps(digests))
 """
 
 
-def test_output_does_not_depend_on_which_label_is_built_first():
-    # a fresh process interns the labels of higher levels first; every pinned
-    # paths and gt output must keep its digest
+def assert_digests_after(warm_up: str):
+    """Every pinned paths and gt output keeps its digest in a fresh process
+    that first runs the warm-up code."""
     commands = sorted(c for c in GOLDEN_DIGESTS if c.split()[0] in ("paths", "gt"))
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", REVERSED_FIRST], input=json.dumps(commands),
+        [sys.executable, "-c", warm_up + DIGESTS_AFTER_WARM_UP], input=json.dumps(commands),
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == {c: GOLDEN_DIGESTS[c] for c in commands}
+
+
+def test_output_does_not_depend_on_which_label_is_built_first():
+    # the labels of higher levels are interned first
+    assert_digests_after(
+        "from altgt.labels import labels\n"
+        "for n in range(9, 1, -1):\n"
+        "    labels(n)\n"
+    )
+
+
+def test_output_does_not_depend_on_which_partition_is_built_first():
+    # before any label, the partitions of higher levels and their conjugates
+    # are interned first
+    assert_digests_after(
+        "from altgt.partitions import partitions_of\n"
+        "for n in range(10, 0, -1):\n"
+        "    for p in partitions_of(n):\n"
+        "        p.conjugate()\n"
+    )

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from altgt import partitions as partitions_module
 from altgt.labels import AltLabel, canonical_label
 from altgt.partitions import (
     Partition,
@@ -8,6 +9,7 @@ from altgt.partitions import (
     revlex_key,
     self_conjugate_partitions,
 )
+from altgt.tableaux import StandardTableau, row_superstandard
 from oracles import brute_force_cover_rows, brute_force_down_set, transpose_cells
 
 any_partition = st.integers(min_value=1, max_value=10).flatmap(
@@ -65,8 +67,8 @@ def test_down_set():
 
 
 def test_covers():
-    assert Partition((2, 2)).covers(Partition((2, 1)))
-    assert not Partition((2, 2)).covers(Partition((2,)))
+    assert Partition((2, 1)) in Partition((2, 2)).down_set()
+    assert Partition((2,)) not in Partition((2, 2)).down_set()
 
 
 def test_cached_down_set_matches_corner_removal():
@@ -82,9 +84,10 @@ def test_cached_down_set_matches_corner_removal():
                 assert len(shape.down_set()) == len(expected)
                 rows = brute_force_cover_rows(shape)
                 assert {small: shape.cover_row(small) for small in shape.down_set()} == rows
+            downs = shape.down_set() if n > 1 else ()
             for small in below:
-                assert shape.covers(small) == (small in expected)
-            assert not shape.covers(shape)
+                assert (small in downs) == (small in expected)
+            assert shape not in downs
             assert shape.n == sum(shape.parts)
 
 
@@ -119,7 +122,7 @@ def test_cover_partner_consistency():
                 assert small.self_conjugate_below() is None
                 assert small.n == shape.n - 1
                 assert small.diagonal_length() == shape.diagonal_length() - 1
-                assert shape.covers(small)
+                assert small in shape.down_set()
 
 
 def test_canonical_pair_rep():
@@ -170,21 +173,47 @@ def test_self_conjugate_counts():
         assert len(self_conjugate_partitions(n)) == count
 
 
+def test_rejected_partitions_are_not_interned():
+    rejected = [
+        ((), "a partition needs at least one part"),
+        ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
+        ((2, 0), "parts must be positive, got (2, 0)"),
+    ]
+    for parts, message in rejected:
+        before = dict(partitions_module._INTERNED)
+        for _ in range(2):  # a second try is validated again
+            with pytest.raises(ValueError) as info:
+                Partition(parts)
+            assert str(info.value) == message
+        assert partitions_module._INTERNED == before
+        assert parts not in partitions_module._INTERNED
+
+
 def test_equal_partitions_hash_alike_on_every_route():
-    # the hash is stored at construction, so each route must store the same one
+    # one object per partition, whatever built it, with the hash of its parts
     for n in range(1, 9):
-        found = []
+        routes = {p.parts: [p] for p in partitions_of(n)}
         for p in partitions_of(n):
-            direct = Partition(tuple(p.parts))
-            above = Partition((p[0] + 1,) + p.parts[1:])
-            routes = [
-                p,
+            routes[p.parts] += [
                 Partition.parse(str(p)),
                 Partition(list(p.parts)),
                 p.conjugate().conjugate(),
-                next(q for q in above.down_set() if q.parts == p.parts),
+                transpose_cells(p).conjugate(),
+                StandardTableau.parse(str(row_superstandard(p))).shape,
             ]
-            for q in routes:
-                assert q == direct and hash(q) == hash(direct)
-            found.extend(routes)
-        assert len(set(found)) == len(partitions_of(n))
+            above = Partition((p[0] + 1,) + p.parts[1:])
+            routes[p.parts].append(next(q for q in above.down_set() if q.parts == p.parts))
+            if n > 1:
+                sign = "^+" if p.parts == p.conjugate().parts else ""
+                routes[p.parts].append(AltLabel.parse(f"{p}{sign}").partition)
+        for large in self_conjugate_partitions(n + 1):
+            small = large.self_conjugate_below()
+            if small is not None:
+                routes[small.parts].append(small)
+        for parts, found in routes.items():
+            direct = Partition(parts)
+            assert len(found) > 5
+            for q in found:
+                assert q is direct and hash(q) == hash(parts)
+        assert len({q for found in routes.values() for q in found}) == len(partitions_of(n))
+    assert Partition((2, 1)) is Partition([2, 1])

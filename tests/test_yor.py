@@ -55,7 +55,8 @@ def test_library_results_keep_the_trusted_form():
                     results += [mirrored, v + mirrored, mirrored - v, apply_phi(v - mirrored)]
                 mixed = v + act_simple(n - 1, v)
                 for w in (v, mixed):
-                    results += [embed(w, up) for up in partitions_of(n + 1) if up.covers(shape)]
+                    ups = [up for up in partitions_of(n + 1) if shape in up.down_set()]
+                    results += [embed(w, up) for up in ups]
                     results += [restrict(w, below) for below in shape.down_set()]
                 for w in results:
                     assert_trusted_form(w)
