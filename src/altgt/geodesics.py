@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import product
 from operator import is_
 
-from .labels import AltLabel, canonical_label, conjugate_label, dagger_down_set, in_dagger
+from .labels import AltLabel, canonical_label, conjugate_label, dagger_down_set
 from .partitions import cached_upward
 
 
@@ -47,7 +47,7 @@ class AltPath:
                     f"label {label} at position {k} should have size {k + 2}"
                 )
         for below, above in zip(path_labels, path_labels[1:]):
-            if not in_dagger(below, above):
+            if below not in dagger_down_set(above):
                 raise ValueError(f"{below} does not branch from {above}")
         self._labels = path_labels
 

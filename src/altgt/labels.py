@@ -133,16 +133,6 @@ def labels(n: int) -> tuple[AltLabel, ...]:
     return tuple(label for p in partitions_of(n) for label in _labels_of(p, (1, -1)))
 
 
-def in_dagger(below: AltLabel, above: AltLabel) -> bool:
-    """Whether `below` (at n-1) appears under `above` (at n) in branching:
-    membership in `dagger_down_set(above)`, so for n >= 3 only."""
-    if above.n != below.n + 1:
-        raise ValueError(
-            f"levels must be consecutive, got {below.n} under {above.n}"
-        )
-    return below in dagger_down_set(above)
-
-
 @lru_cache(maxsize=None)
 def dagger_down_set(label: AltLabel) -> tuple[AltLabel, ...]:
     """Labels at level n-1 lying under this one, in deterministic order."""

@@ -9,7 +9,7 @@ from altgt.geodesics import (
     geodesic_representatives,
     path_equivalent,
 )
-from altgt.labels import AltLabel, dim_alt, labels
+from altgt.labels import AltLabel, dagger_down_set, dim_alt, labels
 from oracles import branch_count_r, brute_force_class_members, class_signature, equivalent
 
 
@@ -52,6 +52,20 @@ def test_truncated_and_extended():
         AltPath(p.labels + (AltLabel.parse("4,1,1"),))  # wrong size for the next level
     with pytest.raises(ValueError):
         AltPath(shorter.labels + (AltLabel.parse("3,3"),))  # not a branching step
+
+
+def test_path_links_are_dagger_down_set_membership():
+    # a checked path takes one more label exactly when its endpoint is in
+    # that label's down set
+    for n in range(3, 8):
+        for below in labels(n - 1):
+            prefix = geodesic_representatives(below)[0].labels
+            for above in labels(n):
+                if below in dagger_down_set(above):
+                    assert AltPath(prefix + (above,)).endpoint is above
+                else:
+                    with pytest.raises(ValueError, match="does not branch from"):
+                        AltPath(prefix + (above,))
 
 
 def test_enumerate_small():

@@ -15,7 +15,6 @@ from altgt.labels import (
     conjugate_label,
     dagger_down_set,
     dim_alt,
-    in_dagger,
     labels,
     level_dimension_total,
     young_graph,
@@ -111,22 +110,6 @@ def test_dagger_down_sets():
     assert [str(x) for x in dagger_down_set(lab("2,2^-"))] == ["2,1^-"]
     with pytest.raises(ValueError):
         dagger_down_set(lab("2"))
-
-
-def test_in_dagger_matches_down_sets():
-    for n in range(3, 8):
-        for above in labels(n):
-            downs = set(dagger_down_set(above))
-            for below in labels(n - 1):
-                assert in_dagger(below, above) == (below in downs)
-
-
-def test_in_dagger_rejects_levels_without_branching():
-    with pytest.raises(ValueError):
-        in_dagger(lab("2"), lab("3,1,1^+"))
-    # like dagger_down_set, branching starts at level 3
-    with pytest.raises(ValueError):
-        in_dagger(AltLabel(Partition((1,)), 1), lab("2"))
 
 
 def test_dagger_signed_keeps_sign():

@@ -3,6 +3,7 @@ import pytest
 from altgt import associator, gt, verify, yor
 from altgt.geodesics import enumerate_paths
 from altgt.labels import AltLabel, labels
+from altgt.partitions import partitions_of
 from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, permutation_sign
 from altgt.verify import (
@@ -125,12 +126,63 @@ def skewed_mixing(i, vec, _orig=yor.act_simple):
 
 
 def test_fault_injection_yor(monkeypatch):
+    # with s_1 = +1 on 1/2, X_2 = s_1 is not the content -1 there; every
+    # shape above 1,1 fails with it
     monkeypatch.setattr(yor, "act_simple", column_flip)
     report = verify_yor(4)
     assert not report.ok
-    bad = {c.subject for c in report.failures()}
-    assert bad == {"shape 2,1", "shape 3,1", "shape 2,2", "shape 2,1,1"}
-    assert all(c.witness for c in report.failures())
+    assert [(c.subject, c.witness) for c in report.failures()] == [
+        ("shape 1,1", "Jucys-Murphy element X_2 does not act by -1 on 1/2"),
+        ("shape 2,1", "shape 1,1 below fails"),
+        ("shape 1,1,1", "shape 1,1 below fails"),
+        ("shape 3,1", "shape 2,1 below fails"),
+        ("shape 2,2", "shape 2,1 below fails"),
+        ("shape 2,1,1", "shape 1,1,1 below fails"),
+        ("shape 1,1,1,1", "shape 1,1,1 below fails"),
+    ]
+
+
+def negated_action(i, vec, _orig=yor.act_simple):
+    # every relation among the generators still holds
+    return -_orig(i, vec)
+
+
+def test_fault_injection_jucys_murphy(monkeypatch):
+    # only the Jucys-Murphy check tells a shape from its conjugate
+    monkeypatch.setattr(yor, "act_simple", negated_action)
+    report = verify_yor(6)
+    assert len(report.failures()) == len(report.checks) == 28
+    assert [c.witness for c in report.checks[:3]] == [
+        "Jucys-Murphy element X_2 does not act by 1 on 12",
+        "Jucys-Murphy element X_2 does not act by -1 on 1/2",
+        "shape 2 below fails",
+    ]
+
+
+def one_level_fault(i, n, scale):
+    # generator i is scaled at level n only, so every other level is intact
+    def act(j, vec, _orig=yor.act_simple):
+        out = _orig(j, vec)
+        return out.scale(scale) if (j, vec.shape.n) == (i, n) else out
+    return act
+
+
+@pytest.mark.parametrize("i, n, scale, first", [
+    (1, 5, -1, ("shape 5", "generator 1 does not restrict to shape 4 on 12345")),
+    (2, 6, 2, ("shape 6", "generator 2 does not restrict to shape 5 on 123456")),
+])
+def test_fault_injection_one_level(monkeypatch, i, n, scale, first):
+    # the level's own shapes fail the restriction check, and every shape
+    # above fails by naming one below
+    monkeypatch.setattr(yor, "act_simple", one_level_fault(i, n, scale))
+    report = verify_yor(n + 1)
+    bad = report.failures()
+    assert (bad[0].subject, bad[0].witness) == first
+    level = {f"shape {p}" for p in partitions_of(n)}
+    above = {f"shape {p}" for p in partitions_of(n + 1)}
+    assert {c.subject for c in bad} == level | above
+    assert all(f"generator {i} does not restrict" in c.witness for c in bad if c.subject in level)
+    assert all(c.witness.endswith("below fails") for c in bad if c.subject in above)
 
 
 def unwarmed_phi_table(patch):
@@ -185,19 +237,25 @@ def unwarmed_generator_table(patch):
     patch.setattr(yor, "_generator_table", yor._generator_table.__wrapped__)
 
 
+# a fault first caught at 2,1 fails every shape above it with n <= 4
+ABOVE_2_1 = [(f"shape {shape}", "shape 2,1 below fails") for shape in ("3,1", "2,2", "2,1,1")]
+
+
 def test_fault_injection_braid(monkeypatch):
     monkeypatch.setattr(StandardTableau, "axial_distance", doubled_axial_distance)
     unwarmed_generator_table(monkeypatch)
-    bad = verify_yor(4).failures()
-    assert {c.subject for c in bad} == {"shape 2,1", "shape 3,1", "shape 2,2", "shape 2,1,1"}
-    assert all("braid" in c.witness for c in bad)
+    assert [(c.subject, c.witness) for c in verify_yor(4).failures()] == [
+        ("shape 2,1", "braid at 1 fails on 12/3"),
+        *ABOVE_2_1,
+    ]
 
 
 def test_fault_injection_symmetric(monkeypatch):
     monkeypatch.setattr(yor, "act_simple", skewed_mixing)
-    bad = verify_yor(4).failures()
-    assert {c.subject for c in bad} == {"shape 2,1", "shape 3,1", "shape 2,2", "shape 2,1,1"}
-    assert all("symmetric" in c.witness for c in bad)
+    assert [(c.subject, c.witness) for c in verify_yor(4).failures()] == [
+        ("shape 2,1", "generator 2 is not real symmetric at entry (13/2, 12/3)"),
+        *ABOVE_2_1,
+    ]
 
 
 def test_fault_injection_class_members(monkeypatch):
@@ -429,9 +487,7 @@ def test_fault_injection_generator_table(monkeypatch):
     monkeypatch.setattr(yor, "_generator_table", swapped_partners)
     assert [(c.subject, c.witness) for c in verify_yor(4).failures()] == [
         ("shape 2,1", "square of generator 2 is not the identity on 12/3"),
-        ("shape 3,1", "square of generator 2 is not the identity on 124/3"),
-        ("shape 2,2", "square of generator 2 is not the identity on 12/34"),
-        ("shape 2,1,1", "square of generator 2 is not the identity on 12/3/4"),
+        *ABOVE_2_1,
     ]
 
 
@@ -474,4 +530,10 @@ def test_fault_injection_cover_map(monkeypatch):
         "not a +1 eigenvector on 2;2,1^+;2,2^+",
         "support of 2;3;3,1;3,1,1^+ strays at level 3",
         "support of 2;3;4;4,1;4,1,1 strays at level 4",
+    ]
+    # the yor suite's restriction check embeds through the same map
+    assert [(c.subject, c.witness) for c in verify_yor(4).failures()] == [
+        ("shape 3,1", "generator 1 does not restrict to shape 2,1 on 134/2"),
+        ("shape 2,2", "generator 1 does not restrict to shape 2,1 on 13/24"),
+        ("shape 2,1,1", "generator 1 does not restrict to shape 2,1 on 13/2/4"),
     ]
