@@ -29,6 +29,7 @@ from .partitions import Partition, partitions_of, revlex_key
 from .tableaux import syt_count
 
 _SIGN_CHARS = {1: "+", -1: "-"}
+_SIGN_COLORS = {1: "red", -1: "green"}
 _INTERNED: dict[tuple[Partition, int | None], "AltLabel"] = {}
 
 
@@ -166,13 +167,18 @@ def canonical_label(label: AltLabel) -> AltLabel:
 
 
 class BranchingGraph:
-    """Levelled multigraph used for DOT and JSON emission."""
+    """Levelled graph used for DOT and JSON emission, built from the nodes of
+    each level (lowest first) and `down`, which maps a node to the nodes one
+    level below it.  Edges ((n, name), (n - 1, name)) are deduplicated and
+    sorted; a node with a sign is colored red for + and green for -."""
 
-    def __init__(self, chain: str, levels, edges, colors):
+    def __init__(self, chain: str, levels, down):
         self.chain = chain
-        self.levels = levels      # list of (n, tuple of node name strings)
-        self.edges = edges        # tuple of ((n, name), (n - 1, name)) pairs
-        self.colors = colors      # dict name -> color at a given (n, name)
+        self.levels = [(n, tuple(map(str, nodes))) for n, nodes in levels]
+        self.edges = tuple(sorted({((n, str(hi)), (n - 1, str(lo)))
+                                   for n, nodes in levels[1:] for hi in nodes for lo in down(hi)}))
+        self.colors = {(n, str(node)): _SIGN_COLORS[node.sign]
+                       for n, nodes in levels for node in nodes if getattr(node, "sign", None)}
 
     @staticmethod
     def node_id(n: int, name: str) -> str:
@@ -207,55 +213,24 @@ class BranchingGraph:
 
 
 def bratteli(max_n: int) -> BranchingGraph:
-    """Branching graph of the alternating chain on levels 2..max_n.
-
-    Nodes are canonical class representatives; an edge joins classes when
-    any pair of raw labels in them branches.  Signed nodes carry colors:
-    red for +, green for -.
-    """
+    """Branching graph of the alternating chain on levels 2..max_n: passes the
+    canonical labels, one per class, each mapped to the canonical images of its
+    dagger down set, since branching commutes with conjugation."""
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
-    levels = []
-    colors: dict[tuple[int, str], str] = {}
-    for n in range(2, max_n + 1):
-        nodes = []
-        for label in labels(n):
-            if canonical_label(label) == label:
-                nodes.append(label)
-                if label.sign == 1:
-                    colors[(n, str(label))] = "red"
-                elif label.sign == -1:
-                    colors[(n, str(label))] = "green"
-        levels.append((n, tuple(str(lb) for lb in nodes)))
-    edges = []
-    seen = set()
-    for n in range(3, max_n + 1):
-        for label in labels(n):
-            hi = canonical_label(label)
-            for below in dagger_down_set(label):
-                lo = canonical_label(below)
-                key = ((n, str(hi)), (n - 1, str(lo)))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append(key)
-    edges.sort(key=lambda e: (e[0][0], e[0][1], e[1][1]))
-    return BranchingGraph("alternating", levels, tuple(edges), colors)
+    levels = [(n, [label for label in labels(n) if canonical_label(label) == label])
+              for n in range(2, max_n + 1)]
+    return BranchingGraph("alternating", levels,
+                          lambda label: map(canonical_label, dagger_down_set(label)))
 
 
 def young_graph(max_n: int) -> BranchingGraph:
-    """Branching graph of the symmetric chain on levels 1..max_n."""
+    """Branching graph of the symmetric chain on levels 1..max_n: passes the
+    partitions of each level and maps each to its down set."""
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    levels = []
-    for n in range(1, max_n + 1):
-        levels.append((n, tuple(str(p) for p in partitions_of(n))))
-    edges = []
-    for n in range(2, max_n + 1):
-        for p in partitions_of(n):
-            for below in p.down_set():
-                edges.append(((n, str(p)), (n - 1, str(below))))
-    edges.sort(key=lambda e: (e[0][0], e[0][1], e[1][1]))
-    return BranchingGraph("symmetric", levels, tuple(edges), {})
+    levels = [(n, partitions_of(n)) for n in range(1, max_n + 1)]
+    return BranchingGraph("symmetric", levels, Partition.down_set)
 
 
 def level_dimension_total(n: int) -> tuple[int, int]:

@@ -218,6 +218,9 @@ def _generator_table(shape: Partition) -> tuple[tuple[array, array], ...]:
         for k, tableau in enumerate(basis):
             word = tableau.word
             r1, r2 = word[i - 1], word[i]
+            # read off the word, not off |axial_distance| == 1: under a faulty (doubled)
+            # axial_distance that check would swap two entries of one row or column, and the
+            # rank lookup would raise KeyError instead of the yor audit failing
             if r1 == r2:
                 distances.append(1)
                 partners.append(k)

@@ -13,6 +13,7 @@ from itertools import permutations, product
 from math import isqrt, lcm
 
 from altgt import AltLabel, AltPath, Partition, StandardTableau
+from altgt.labels import dagger_down_set, labels
 from altgt.tableaux import append_box, enumerate_syt, syt_ranks
 
 
@@ -123,6 +124,24 @@ def _label_class(label: AltLabel):
     if label.is_signed():
         return label.partition, label.sign
     return frozenset({label.partition, transpose_cells(label.partition)})
+
+
+def scanned_bratteli_edges(max_n: int) -> tuple:
+    """Edges of the alternating branching graph on levels 2..max_n, by
+    scanning every label of each level, not one per class: each pair it
+    branches to, both ends mapped to the class member that sorts first (the
+    label or its raw transpose), deduplicated and sorted by (n, upper name,
+    lower name)."""
+    def canonical(label):
+        if label.is_signed():
+            return label
+        return min(label, AltLabel(transpose_cells(label.partition)), key=AltLabel.sort_key)
+
+    edges = {
+        ((n, str(canonical(label))), (n - 1, str(canonical(below))))
+        for n in range(3, max_n + 1) for label in labels(n) for below in dagger_down_set(label)
+    }
+    return tuple(sorted(edges, key=lambda e: (e[0][0], e[0][1], e[1][1])))
 
 
 def branch_count_r(path: AltPath) -> int:

@@ -21,7 +21,7 @@ from altgt.labels import (
 )
 from altgt.partitions import Partition, revlex_key
 from altgt.tableaux import syt_count
-from oracles import brute_force_syt, equivalent
+from oracles import brute_force_syt, equivalent, scanned_bratteli_edges
 
 
 def lab(text):
@@ -182,6 +182,13 @@ def test_bratteli_conjugate_edge_normalization():
     graph = bratteli(8)
     edges = {(a, b) for a, b in graph.edges}
     assert ((8, "4,2,2"), (7, "3,3,1")) in edges
+
+
+def test_bratteli_edges_match_a_scan_of_every_label():
+    # bratteli visits one label per class, which relies on branching
+    # commuting with conjugation; the oracle scans every label instead
+    for max_n in range(2, 11):
+        assert bratteli(max_n).edges == scanned_bratteli_edges(max_n)
 
 
 def test_bratteli_dot_output():
