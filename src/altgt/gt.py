@@ -14,9 +14,9 @@ Each branching path determines one vector by walking the path upward:
 path arrives and keeps only the prefixes of the last path, so paths that
 come sorted build each shared prefix once.
 
-Every coefficient of every resulting vector is a fourth root of unity, so
-the optional normalization only divides by the square root of the number of
-terms.
+Every coefficient of every resulting vector is a fourth root of unity.  A
+GT vector is fixed only up to a scalar, so normalization is left to
+`gt_basis`, where it only divides by the square root of the number of terms.
 """
 
 from __future__ import annotations
@@ -78,13 +78,13 @@ def restrict(vec: GTVector, shape: Partition) -> GTVector:
     return GTVector._trusted(shape, out)
 
 
-def gt_vector(path: AltPath, normalize: bool = False) -> GTVector:
+def gt_vector(path: AltPath) -> GTVector:
     """The basis vector attached to one branching path."""
-    return next(gt_vectors((path,), normalize=normalize))
+    return next(gt_vectors((path,)))
 
 
-def gt_vectors(paths, normalize: bool = False) -> Iterator[GTVector]:
-    """Yield the vector of each path, in order, as each path arrives.
+def gt_vectors(paths) -> Iterator[GTVector]:
+    """Yield the unnormalized vector of each path, in order, as it arrives.
 
     A stack holds (label, vector) for each prefix of the previous path, so
     sorted paths build every shared prefix once, and memory stays
@@ -109,17 +109,17 @@ def gt_vectors(paths, normalize: bool = False) -> Iterator[GTVector]:
                         raise RuntimeError(f"the two halves of the vector for {path} overlap")
                     vec = vec + mirrored if head.sign == 1 else vec - mirrored
             stack.append((head, vec))
-        vec = stack[-1][1]
-        if normalize:
-            vec = vec.scale(sqrt_rational(vec.norm_squared().as_rational()).inverse())
-        yield vec
+        yield stack[-1][1]
 
 
-def gt_basis(
-    label: AltLabel, normalize: bool = False
-) -> tuple[tuple[AltPath, GTVector], ...]:
-    """One (path, vector) pair per equivalence class ending at this label."""
+def gt_basis(label: AltLabel, normalize: bool = False) -> Iterator[tuple[AltPath, GTVector]]:
+    """One (path, vector) pair per equivalence class ending at this label,
+    built lazily once the class count is checked; tuple() keeps them."""
     paths = geodesic_representatives(label)
     if len(paths) != dim_alt(label):
         raise RuntimeError(f"{len(paths)} classes at {label}, expected {dim_alt(label)}")
-    return tuple(zip(paths, gt_vectors(paths, normalize=normalize)))
+    vectors = gt_vectors(paths)
+    if normalize:
+        vectors = (v.scale(sqrt_rational(v.norm_squared().as_rational()).inverse())
+                   for v in vectors)
+    return zip(paths, vectors)

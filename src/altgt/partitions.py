@@ -7,6 +7,12 @@ from functools import lru_cache, wraps
 _INTERNED: dict[tuple[int, ...], "Partition"] = {}
 
 
+def _integer(value) -> int:
+    if not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 class Partition:
     """A weakly decreasing tuple of positive integers.
 
@@ -21,7 +27,7 @@ class Partition:
     __slots__ = ("_parts", "_n", "_hash")
 
     def __new__(cls, parts) -> "Partition":
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(_integer, parts))
         partition = _INTERNED.get(parts)
         if partition is not None:
             return partition

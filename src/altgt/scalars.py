@@ -272,13 +272,13 @@ class Scalar:
     def from_json(cls, data) -> "Scalar":
         terms: dict[int, tuple[int, int, int]] = {}
         for entry in data:
-            q = entry["radicand"]
+            q = entry.get("radicand") if isinstance(entry, dict) else None
             if type(q) is not int or q < 1:
-                raise ValueError(f"invalid radicand {q!r}")
+                raise ValueError(f"invalid radicand in entry {entry!r}")
             parts = entry.get("re", 0), entry.get("im", 0)
-            for part in parts:
-                if isinstance(part, float):
-                    raise ValueError(f"inexact coefficient {part!r}: floats are refused")
+            # JSON writes each part as a fraction string; floats, bools and nulls are refused
+            if any(type(part) not in (int, str) for part in parts):
+                raise ValueError(f"invalid coefficient in entry {entry!r}")
             coeff = _gaussian(*parts)
             if q in terms:
                 raise ValueError(f"duplicate radicand {q}")

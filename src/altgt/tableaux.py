@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .partitions import Partition, cached_upward
+from .partitions import Partition, _integer, cached_upward
 
 
 class StandardTableau:
@@ -30,7 +30,7 @@ class StandardTableau:
     __slots__ = ("_word", "_shape")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(map(_integer, row)) for row in rows)
         if not rows or any(not row for row in rows):
             raise ValueError("empty tableau rows are not allowed")
         shape = Partition(tuple(len(row) for row in rows))  # validates the shape

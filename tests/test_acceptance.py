@@ -194,9 +194,9 @@ def test_criterion_8_gt_properties():
             expected = len(brute_force_syt(label.partition))
             if label.is_signed():
                 expected //= 2
-            assert len(gt_basis(label)) == expected, str(label)
+            assert len(tuple(gt_basis(label))) == expected, str(label)
         total = sum(
-            len(gt_basis(label)) ** 2
+            len(tuple(gt_basis(label))) ** 2
             for label in labels(n)
             if canonical_label(label) == label
         )

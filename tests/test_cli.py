@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altgt import cli, yor
+from altgt import cli, gt, yor
 from altgt.cli import main
 from altgt.gt import gt_basis
 from altgt.labels import labels
 from altgt.partitions import partitions_of
 from altgt.scalars import I, Scalar
+from test_gt import recording
 from test_verify import column_flip
 
 
@@ -253,7 +254,7 @@ def test_gt_output_matches_whole_payload_rendering(capsys, n, normalize):
     # json.dumps(payload, indent=2) and the per-vector f-strings give
     flag = ["--normalize"] if normalize else []
     for label in labels(n):
-        basis = gt_basis(label, normalize=normalize)
+        basis = tuple(gt_basis(label, normalize=normalize))
         payload = [
             {"path": path.to_json(),
              "terms": [{"tableau": t.to_json(), "coeff": c.to_json()} for t, c in vector.items()]}
@@ -269,6 +270,23 @@ def test_gt_output_matches_whole_payload_rendering(capsys, n, normalize):
         }
         for fmt, want in expected.items():
             assert run_cli(capsys, "gt", str(label), "--format", fmt, *flag) == (0, want, ""), (label, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gt_writes_once_the_first_vector_is_built(monkeypatch, fmt):
+    # output streams: the first byte leaves after one vector, not the basis
+    built, at_first_write = [], []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            if not at_first_write:
+                at_first_write.append(len(built))
+            return super().write(text)
+
+    monkeypatch.setattr(gt, "gt_vectors", recording(built))
+    with contextlib.redirect_stdout(Recorder()):
+        assert main(["gt", "4,1,1", "--format", fmt]) == 0
+    assert (at_first_write, len(built)) == ([1], 10)
 
 
 def test_gt_rejects_missing_sign(capsys):

@@ -122,7 +122,6 @@ def test_gt_vectors_in_any_order():
     random.Random(0).shuffle(paths)
     paths = [q for p in paths[:150] for q in (p, AltPath(p.labels[:2]))]
     assert list(gt_vectors(paths)) == [gt_vector(p) for p in paths]
-    assert list(gt_vectors(paths, normalize=True)) == [gt_vector(p, normalize=True) for p in paths]
     assert list(gt_vectors([])) == []
 
 
@@ -147,12 +146,15 @@ def test_eigenvector_for_signed_labels():
 
 
 def test_normalization():
-    u = gt_vector(path("2;2,1^+"), normalize=True)
+    [(rep, u)] = gt_basis(AltLabel.parse("2,1^+"), normalize=True)
+    assert rep == path("2;2,1^+")
     half_sqrt2 = sqrt_rational(2).inverse()
     assert u.coefficient(StandardTableau.parse("12/3")) == half_sqrt2
     assert u.coefficient(StandardTableau.parse("13/2")) == I * half_sqrt2
     assert u.norm_squared() == ONE
-    assert gt_vector(path("2"), normalize=True) == vec("2", [("12", ONE)])
+    assert list(gt_basis(AltLabel.parse("2"), normalize=True)) == [
+        (path("2"), vec("2", [("12", ONE)]))
+    ]
 
 
 def test_coefficients_are_fourth_roots():
@@ -164,19 +166,19 @@ def test_coefficients_are_fourth_roots():
 
 
 def test_basis_shape_and_orthogonality():
-    pairs = gt_basis(AltLabel.parse("2,1^+"))
+    pairs = tuple(gt_basis(AltLabel.parse("2,1^+")))
     assert len(pairs) == 1
     rep, u = pairs[0]
     assert rep == path("2;2,1^+")
     assert u == vec("2,1", [("12/3", ONE), ("13/2", I)])
 
-    plus = gt_basis(AltLabel.parse("2,1^+"))[0][1]
-    minus = gt_basis(AltLabel.parse("2,1^-"))[0][1]
+    [(_, plus)] = gt_basis(AltLabel.parse("2,1^+"))
+    [(_, minus)] = gt_basis(AltLabel.parse("2,1^-"))
     assert plus.inner(minus) == Scalar.rational(0)
 
     for label_text in ("3,1", "4,1,1", "2,2^+"):
         label = AltLabel.parse(label_text)
-        pairs = gt_basis(label)
+        pairs = tuple(gt_basis(label))
         assert [p for p, _ in pairs] == list(geodesic_representatives(label))
         vectors = [u for _, u in pairs]
         for a in range(len(vectors)):
@@ -191,6 +193,26 @@ def test_normalized_basis_is_orthonormal():
         assert u.norm_squared() == ONE
         for w in vectors[a + 1:]:
             assert u.inner(w) == Scalar.rational(0)
+
+
+def recording(built, _orig=gt.gt_vectors):
+    """gt_vectors, appending each vector to `built` as it is yielded."""
+    def recorded(paths):
+        for vector in _orig(paths):
+            built.append(vector)
+            yield vector
+    return recorded
+
+
+def test_gt_basis_checks_the_class_count_before_building(monkeypatch):
+    # a missing class is reported by the call itself, before any vector is built
+    built = []
+    reps = gt.geodesic_representatives
+    monkeypatch.setattr(gt, "geodesic_representatives", lambda label: reps(label)[1:])
+    monkeypatch.setattr(gt, "gt_vectors", recording(built))
+    with pytest.raises(RuntimeError, match="^9 classes at 4,1,1, expected 10$"):
+        gt_basis(AltLabel.parse("4,1,1"))
+    assert built == []
 
 
 def test_overlapping_halves_raise(monkeypatch):

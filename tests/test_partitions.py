@@ -24,6 +24,10 @@ def test_constructor_validates():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+    # parts are integers: a float is not truncated and a string is not parsed
+    for parts, bad in (((2.7, 1), "2.7"), ((2.0, 1), "2.0"), (("2", "1"), "'2'")):
+        with pytest.raises(TypeError, match=f"^expected an integer, got {bad}$"):
+            Partition(parts)
 
 
 def test_parse_and_str():

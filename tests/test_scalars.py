@@ -220,6 +220,10 @@ def test_constructors_refuse_floats(build):
     ({"radicand": 1, "re": 0.1}, "0.1"),
     ({"radicand": 2, "re": "1", "im": -0.5}, "-0.5"),
     ({"radicand": True, "re": "1", "im": "0"}, "True"),
+    ({"radicand": 1, "re": True}, "True"),
+    ({"radicand": 1, "re": None}, "None"),
+    ({"radicand": 1, "re": [1]}, r"\[1\]"),
+    ({"re": "1", "im": "0"}, "'re': '1'"),
 ])
 def test_json_refuses_floats_and_bool_radicands(entry, bad):
     with pytest.raises(ValueError, match=bad):

@@ -1,6 +1,7 @@
-"""Rules the library source itself must keep."""
+"""Rules the library source and its documented example must keep."""
 
 import ast
+import re
 from pathlib import Path
 
 import altgt
@@ -33,3 +34,13 @@ def test_library_has_no_floats():
             and node.func.id in ("float", "complex"))
     ]
     assert found == []
+
+
+def test_readme_library_example_runs(capsys):
+    # the python block under "## Library use" in README.md runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    assert "12/3" in capsys.readouterr().out

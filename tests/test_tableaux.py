@@ -26,6 +26,10 @@ def test_constructor_validates():
     with pytest.raises(ValueError):
         StandardTableau([[1, 2], [4]])  # entries not 1..n
     StandardTableau([[1, 4], [2], [3]])  # standard, must construct
+    # entries are integers: a float is not truncated and a string is not parsed
+    for rows, bad in (([[1.9, 2.2], [3]], "1.9"), ([[1, 2.0], [3]], "2.0"), (["12", "3"], "'1'")):
+        with pytest.raises(TypeError, match=f"^expected an integer, got {bad}$"):
+            StandardTableau(rows)
 
 
 def test_column_violation_rejected():

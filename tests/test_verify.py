@@ -309,9 +309,9 @@ def gt_witnesses(*texts):
     return [verify_gt(AltLabel.parse(text)).checks[0].witness for text in texts]
 
 
-def shifted_vectors(paths, normalize=False, _orig=gt.gt_vectors):
+def shifted_vectors(paths, _orig=gt.gt_vectors):
     # each path is paired with the vector of the path after it
-    vectors = list(_orig(paths, normalize=normalize))
+    vectors = list(_orig(paths))
     return vectors[1:] + vectors[:1]
 
 
@@ -324,9 +324,9 @@ def test_fault_injection_stray_support(monkeypatch):
     ]
 
 
-def zero_first_vector(paths, normalize=False, _orig=gt.gt_vectors):
+def zero_first_vector(paths, _orig=gt.gt_vectors):
     # the first path of each call is paired with the zero vector
-    vectors = list(_orig(paths, normalize=normalize))
+    vectors = list(_orig(paths))
     return [GTVector.zero(vectors[0].shape)] + vectors[1:]
 
 
@@ -435,11 +435,11 @@ def test_fault_injection_not_proportional(monkeypatch):
     ]
 
 
-def doubled_first_coefficient(paths, normalize=False, _orig=gt.gt_vectors):
+def doubled_first_coefficient(paths, _orig=gt.gt_vectors):
     # paths from (1,1) get their first coefficient, in row-word order, doubled
     paths = list(paths)
     out = []
-    for p, v in zip(paths, _orig(paths, normalize=normalize)):
+    for p, v in zip(paths, _orig(paths)):
         if str(p.labels[0]) == "1,1":
             terms = dict(v.items())
             first = v.support()[0]
