@@ -120,6 +120,5 @@ def gt_basis(label: AltLabel, normalize: bool = False) -> Iterator[tuple[AltPath
         raise RuntimeError(f"{len(paths)} classes at {label}, expected {dim_alt(label)}")
     vectors = gt_vectors(paths)
     if normalize:
-        vectors = (v.scale(sqrt_rational(v.norm_squared().as_rational()).inverse())
-                   for v in vectors)
+        vectors = (v.scale(sqrt_rational(len(v._terms)).inverse()) for v in vectors)
     return zip(paths, vectors)

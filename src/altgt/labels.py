@@ -36,20 +36,21 @@ _INTERNED: dict[tuple[Partition, int | None], "AltLabel"] = {}
 class AltLabel:
     """A partition plus an optional sign; signed iff self-conjugate.
 
-    One object per label: the constructor returns the stored object for each
-    (partition, sign) and validates only on first sight, so `==` is identity.
-    Computed once, from content: the sort key (rev-lex partition, then +
-    before -), the hash of (partition, sign) and the text ("2,1^+").
+    One object per label: the constructor checks the sign's type (True == 1),
+    returns the stored object for each (partition, sign) and validates the
+    rest only on first sight, so `==` is identity.  Computed once, from
+    content: the sort key (rev-lex partition, then + before -), the hash of
+    (partition, sign) and the text ("2,1^+").
     """
 
     __slots__ = ("_partition", "_sign", "_sort_key", "_hash", "_text")
 
     def __new__(cls, partition: Partition, sign: int | None = None) -> "AltLabel":
+        if not (sign is None or (type(sign) is int and sign in (1, -1))):
+            raise ValueError(f"sign must be None, 1 or -1, got {sign!r}")
         label = _INTERNED.get((partition, sign))
         if label is not None:
             return label
-        if sign not in (None, 1, -1):
-            raise ValueError(f"sign must be None, 1 or -1, got {sign!r}")
         if partition.is_self_conjugate():
             if sign is None:
                 raise ValueError(f"self-conjugate partition {partition} needs a sign")

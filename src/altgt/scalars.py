@@ -279,7 +279,10 @@ class Scalar:
             # JSON writes each part as a fraction string; floats, bools and nulls are refused
             if any(type(part) not in (int, str) for part in parts):
                 raise ValueError(f"invalid coefficient in entry {entry!r}")
-            coeff = _gaussian(*parts)
+            try:
+                coeff = _gaussian(*parts)
+            except (ValueError, ZeroDivisionError):  # "1/0" or not a fraction
+                raise ValueError(f"invalid coefficient in entry {entry!r}") from None
             if q in terms:
                 raise ValueError(f"duplicate radicand {q}")
             terms[q] = coeff

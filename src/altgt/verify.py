@@ -220,9 +220,9 @@ def _path_count(label: AltLabel) -> int:
 def _gt_failure(label: AltLabel) -> str | None:
     """First failed check of the basis attached to one label, or None."""
     paths = geodesic_representatives(label)
-    vectors = list(gt_vectors(paths))
     if len(paths) != dim_alt(label):
         return f"{len(paths)} classes, expected dimension {dim_alt(label)}"
+    vectors = list(gt_vectors(paths))
     for p, v in zip(paths, vectors):
         if not v._terms:
             return f"zero vector on {p}"
@@ -295,14 +295,10 @@ def _gt_failure(label: AltLabel) -> str | None:
         if not head.is_signed() or prev.is_signed():
             if v != embed(shorter, head.partition):
                 return f"{p} does not extend its truncation"
-        else:
-            if restrict(v, prev.partition) != shorter:
-                return f"{p} does not restrict to its truncation"
-            carried = embed(shorter, head.partition)
-            mirrored = associator.apply_phi(carried)
-            rebuilt = carried + mirrored if head.sign == 1 else carried - mirrored
-            if v != rebuilt:
-                return f"{p} is not the eigenspace completion"
+        # v lies over prev and its conjugate, blocks that phi swaps, so phi(v) = sign * v
+        # fixes the other block to sign * phi(embed(shorter)): v is the completion
+        elif restrict(v, prev.partition) != shorter:
+            return f"{p} does not restrict to its truncation"
     return None
 
 

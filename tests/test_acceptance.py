@@ -18,10 +18,16 @@ from altgt.geodesics import (
 )
 from altgt.gt import gt_basis, gt_vector
 from altgt.labels import AltLabel, canonical_label, labels
-from altgt.partitions import Partition
+from altgt.partitions import Partition, self_conjugate_partitions
 from altgt.scalars import I, ONE
 from altgt.tableaux import StandardTableau, reference_tableau
-from altgt.verify import verify_associator, verify_gt, verify_gt_range, verify_yor
+from altgt.verify import (
+    FOURTH_ROOT_TABLE,
+    verify_associator,
+    verify_gt,
+    verify_gt_range,
+    verify_yor,
+)
 from altgt.yor import GTVector
 from oracles import branch_count_r, brute_force_class_members, brute_force_syt, class_signature
 from test_verify import column_flip, unsigned_coeff, unwarmed_phi_table
@@ -33,19 +39,12 @@ def vec(shape_text, terms):
 
 
 def test_criterion_1_factor_table():
-    expected = {
-        "2,1": I,
-        "2,2": I,
-        "3,1,1": -ONE,
-        "3,2,1": -ONE,
-        "4,1,1,1": -I,
-        "4,2,1,1": -I,
-        "3,3,2": -I,
-        "3,3,3": -I,
-        "5,1,1,1,1": ONE,
+    # the one anchor table covers every self-conjugate shape with 3 <= n <= 9
+    assert set(FOURTH_ROOT_TABLE) == {
+        str(shape) for n in range(3, 10) for shape in self_conjugate_partitions(n)
     }
     start = time.perf_counter()
-    for shape_text, root in expected.items():
+    for shape_text, root in FOURTH_ROOT_TABLE.items():
         shape = Partition.parse(shape_text)
         coeff = assoc_coeff(reference_tableau(shape))
         assert coeff == root, shape_text

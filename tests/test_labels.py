@@ -37,7 +37,7 @@ def test_sign_rules():
         AltLabel(Partition((2, 1)), 2)
 
 
-def test_rejected_labels_are_not_interned():
+def test_rejected_labels_are_not_interned(monkeypatch):
     # the valid labels of both partitions are stored
     lab("2,1^+")
     lab("3,1")
@@ -45,6 +45,8 @@ def test_rejected_labels_are_not_interned():
         ((2, 1), None, "self-conjugate partition 2,1 needs a sign"),
         ((3, 1), 1, "partition 3,1 is not self-conjugate; no sign allowed"),
         ((2, 1), 2, "sign must be None, 1 or -1, got 2"),
+        ((2, 1), True, "sign must be None, 1 or -1, got True"),
+        ((2, 1), 1.0, "sign must be None, 1 or -1, got 1.0"),
     ]
     for parts, sign, message in rejected:
         before = dict(labels_module._INTERNED)
@@ -53,7 +55,18 @@ def test_rejected_labels_are_not_interned():
                 AltLabel(Partition(parts), sign)
             assert str(info.value) == message
         assert labels_module._INTERNED == before
-        assert (Partition(parts), sign) not in labels_module._INTERNED
+        if isinstance(sign, (bool, float)):
+            # the key equals that of 2,1^+, so look at the stored label instead
+            stored = labels_module._INTERNED[Partition(parts), sign]
+            assert stored.sign == 1 and type(stored.sign) is int
+        else:
+            assert (Partition(parts), sign) not in labels_module._INTERNED
+    # a bool or a float is refused on first sight too, before any int label
+    monkeypatch.setattr(labels_module, "_INTERNED", {})
+    for sign in (True, 1.0):
+        with pytest.raises(ValueError, match=f"got {sign}$"):
+            AltLabel(Partition((2, 2)), sign)
+    assert labels_module._INTERNED == {}
 
 
 def test_hash_is_the_hash_of_the_content():

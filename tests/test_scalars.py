@@ -224,6 +224,9 @@ def test_constructors_refuse_floats(build):
     ({"radicand": 1, "re": None}, "None"),
     ({"radicand": 1, "re": [1]}, r"\[1\]"),
     ({"re": "1", "im": "0"}, "'re': '1'"),
+    ({"radicand": 1, "re": "1/0"}, "'re': '1/0'"),
+    ({"radicand": 1, "im": "1/0"}, "'im': '1/0'"),
+    ({"radicand": 1, "re": "abc"}, "'re': 'abc'"),
 ])
 def test_json_refuses_floats_and_bool_radicands(entry, bad):
     with pytest.raises(ValueError, match=bad):

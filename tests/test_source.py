@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import altgt
@@ -33,6 +34,22 @@ def test_library_has_no_floats():
         or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in ("float", "complex"))
     ]
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # absolute imports must name a standard-library module; relative ones
+    # stay inside the package
+    names = []
+    for path in SOURCE:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.append((path.name, node.module))
+    assert names
+    found = [f"{file}: {name}" for file, name in names
+             if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
 
 

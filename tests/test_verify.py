@@ -342,6 +342,31 @@ def test_fault_injection_zero_vector(monkeypatch):
     ]
 
 
+def phase_at(label):
+    # vectors of paths ending at the label are multiplied by i; their
+    # truncations, which end one level down, are not
+    def vectors(paths, _orig=gt.gt_vectors):
+        paths = list(paths)
+        return [v.scale(I) if p.endpoint is label else v for p, v in zip(paths, _orig(paths))]
+    return vectors
+
+
+def test_fault_injection_phase_at_endpoint(monkeypatch):
+    # a common unit phase keeps units, supports, eigenvectors, orthogonality,
+    # mate ratios and coverage intact; only the truncation walk sees it
+    witnesses = []
+    for text in ("3", "3,1", "2,1^+", "3,1,1^+"):
+        label = AltLabel.parse(text)
+        monkeypatch.setattr(verify, "gt_vectors", phase_at(label))
+        witnesses.append(verify_gt(label).checks[0].witness)
+    assert witnesses == [
+        "2;3 does not extend its truncation",
+        "2;3;3,1 does not extend its truncation",
+        "2;2,1^+ does not restrict to its truncation",
+        "2;3;3,1;3,1,1^+ does not restrict to its truncation",
+    ]
+
+
 def mate_for_neighbour(label, _orig=verify.geodesic_representatives):
     # the representative before the first class with a second member at this
     # label is replaced by that member, so two vectors are proportional
