@@ -17,15 +17,15 @@ triple is reduced: d > 0 and gcd(a, b, d) = 1.  Products of radicals reduce
 via gcd: sqrt(q1)*sqrt(q2) = g*sqrt(q1*q2/g^2) with g = gcd(q1, q2).
 
 Only the public entry points canonicalize: the ``Scalar`` constructor
-(int or Fraction coefficients), ``Scalar.rational``, ``Scalar.gaussian``,
-``Scalar.from_json`` and ``sqrt_rational``; they refuse floats.  A complex
-coefficient on a radical is written ``Scalar.gaussian(re, im) *
-sqrt_rational(q)``.  Arithmetic needs no second pass, because canonical
-inputs give canonical outputs: q1*q2/g^2 is squarefree when q1 and q2 are,
-a product of nonzero terms is nonzero, and only a sum can cancel.  So
-``+``, ``-``, ``*``, ``/`` and ``conjugate`` build their results through
-the trusted ``Scalar._of``; a triple that may need reducing goes through
-``_norm``, one gcd.
+(int or Fraction coefficients), ``Scalar.rational``, ``Scalar.gaussian``
+and ``sqrt_rational``; they refuse floats.  A complex coefficient on a
+radical is written ``Scalar.gaussian(re, im) * sqrt_rational(q)``.
+Arithmetic needs no second pass, because canonical inputs give canonical
+outputs: q1*q2/g^2 is squarefree when q1 and q2 are, a product of nonzero
+terms is nonzero, and only a sum can cancel.  So ``+``, ``-``, ``*``,
+``/`` and ``conjugate`` build their results through the trusted
+``Scalar._of``; a triple that may need reducing goes through ``_norm``,
+one gcd.
 """
 
 from __future__ import annotations
@@ -160,14 +160,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return all(q == 1 and not c[1] for q, c in self._terms.items())
 
-    def as_rational(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"not a rational value: {self}")
-        a, _, d = self._terms[1]
-        return Fraction(a, d)
-
     def __add__(self, other) -> "Scalar":
         other = _coerce(other)
         if other is NotImplemented:
@@ -267,26 +259,6 @@ class Scalar:
     def to_json(self) -> list[dict]:
         return [{"radicand": q, "re": str(Fraction(a, d)), "im": str(Fraction(b, d))}
                 for q, (a, b, d) in self._terms.items()]
-
-    @classmethod
-    def from_json(cls, data) -> "Scalar":
-        terms: dict[int, tuple[int, int, int]] = {}
-        for entry in data:
-            q = entry.get("radicand") if isinstance(entry, dict) else None
-            if type(q) is not int or q < 1:
-                raise ValueError(f"invalid radicand in entry {entry!r}")
-            parts = entry.get("re", 0), entry.get("im", 0)
-            # JSON writes each part as a fraction string; floats, bools and nulls are refused
-            if any(type(part) not in (int, str) for part in parts):
-                raise ValueError(f"invalid coefficient in entry {entry!r}")
-            try:
-                coeff = _gaussian(*parts)
-            except (ValueError, ZeroDivisionError):  # "1/0" or not a fraction
-                raise ValueError(f"invalid coefficient in entry {entry!r}") from None
-            if q in terms:
-                raise ValueError(f"duplicate radicand {q}")
-            terms[q] = coeff
-        return cls._of(_canonical(terms.items()))
 
 
 def _canonical(pairs) -> dict[int, tuple[int, int, int]]:

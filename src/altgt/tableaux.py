@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 from .partitions import Partition, _integer, cached_upward
 
@@ -189,12 +190,16 @@ def syt_ranks(shape: Partition) -> dict[StandardTableau, int]:
     return {t: k for k, t in enumerate(enumerate_syt(shape))}
 
 
-@cached_upward(Partition.down_set, 1)
 def syt_count(shape: Partition) -> int:
-    """Number of standard tableaux, by the covering recursion."""
-    if shape.n == 1:
-        return 1
-    return sum(syt_count(below) for below in shape.down_set())
+    """Number of standard tableaux, n! over the product of the hook lengths
+    (Frame, Robinson and Thrall).  The hook of a cell is the cell and the
+    cells right of it in its row and below it in its column."""
+    columns = shape.conjugate().parts
+    hooks = 1
+    for i, row in enumerate(shape.parts):
+        for j in range(row):
+            hooks *= row - j + columns[j] - i - 1
+    return factorial(shape.n) // hooks
 
 
 def row_superstandard(shape: Partition) -> StandardTableau:

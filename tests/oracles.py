@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own recursions: tableaux
 come from filtering raw permutations, signs from inversion counting,
 conjugates from transposing cell sets, and scalar values from Fraction
-pairs on unreduced radicands.  The per-shape tables of the library are
-checked against rules that read cells off `StandardTableau.rows`.
+pairs on unreduced radicands, which also build the test values.  The
+per-shape tables of the library are checked against rules that read cells
+off `StandardTableau.rows`.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from math import isqrt, lcm
 
 from altgt import AltLabel, AltPath, Partition, StandardTableau
 from altgt.labels import dagger_down_set, labels
+from altgt.scalars import Scalar
 from altgt.tableaux import append_box, enumerate_syt, syt_ranks
 
 
@@ -273,6 +275,15 @@ def canonical_terms(value) -> tuple:
             d = lcm(re.denominator, im.denominator)
             out.append((s, ((re * d).numerator, (im * d).numerator, d)))
     return tuple(out)
+
+
+def scalar_from_json(data) -> Scalar:
+    """The Scalar whose to_json() is `data`.  Its terms are canonical_terms
+    of the raw value, handed to the trusted Scalar._of, so no altgt.scalars
+    arithmetic or canonicalization runs."""
+    raw = [(entry["radicand"], (Fraction(entry["re"]), Fraction(entry["im"])))
+           for entry in data]
+    return Scalar._of(dict(canonical_terms(raw)))
 
 
 # The text and LaTeX renderings of a Scalar, read off its terms(): one

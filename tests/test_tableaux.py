@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,9 +92,20 @@ def test_enumeration_is_sorted_by_row_word():
 
 
 def test_syt_count_against_enumeration():
-    for n in range(1, 8):
+    for n in range(1, 11):
         for shape in partitions_of(n):
             assert syt_count(shape) == len(enumerate_syt(shape))
+
+
+def test_syt_count_walks_nothing():
+    # a shape no other test builds: counting it removes no corner anywhere
+    misses = Partition._corners.cache_info().misses
+    assert syt_count(Partition((31, 17, 4))) == 368152484687635375
+    assert Partition._corners.cache_info().misses == misses
+    # closed forms on shapes far beyond any walk
+    assert syt_count(Partition((300, 300))) == comb(600, 300) // 301  # Catalan(300)
+    assert syt_count(Partition((1200,))) == 1
+    assert syt_count(Partition((1199, 1))) == 1199
 
 
 def test_row_superstandard():
