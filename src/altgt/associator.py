@@ -42,7 +42,7 @@ def _phi_table(shape: Partition) -> tuple[array, tuple[Scalar, ...]]:
     """By rank: the rank of each tableau's transpose, and its assoc_coeff."""
     basis, rank = enumerate_syt(shape), syt_ranks(shape)
     roots = tuple(assoc_coeff(t) for t in basis)  # raises unless self-conjugate
-    return array("l", (rank[t.conjugate()] for t in basis)), roots
+    return array("i", (rank[t.conjugate()] for t in basis)), roots
 
 
 def apply_phi(vec: GTVector) -> GTVector:

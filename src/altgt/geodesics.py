@@ -60,8 +60,7 @@ class AltPath:
 
     @classmethod
     def parse(cls, text: str) -> "AltPath":
-        chunks = text.split(";")
-        return cls(tuple(AltLabel.parse(c.strip()) for c in chunks))
+        return cls(tuple(AltLabel.parse(c) for c in text.split(";")))
 
     @property
     def labels(self) -> tuple[AltLabel, ...]:

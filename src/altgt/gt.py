@@ -22,7 +22,6 @@ GT vector is fixed only up to a scalar, so normalization is left to
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -46,7 +45,7 @@ def _cover_map(shape: Partition) -> dict[Partition, array]:
     if shape.n < 2:
         return {}
     in_row = {shape.cover_row(below): below for below in shape.down_set()}
-    ranks = {below: array("l") for below in in_row.values()}
+    ranks = {below: array("i") for below in in_row.values()}
     for rank, tableau in enumerate(enumerate_syt(shape)):
         ranks[in_row[tableau.word[-1]]].append(rank)
     return ranks
@@ -58,24 +57,6 @@ def embed(vec: GTVector, shape: Partition) -> GTVector:
     if ranks is None:
         raise ValueError(f"shape {shape} does not cover {vec.shape}")
     return GTVector._trusted(shape, {ranks[r]: c for r, c in vec._terms.items()})
-
-
-def restrict(vec: GTVector, shape: Partition) -> GTVector:
-    """Keep the terms whose tableaux shrink to the given shape; drop the last box.
-
-    This is the left inverse of embed: terms whose prefix is a different
-    member of the down set are discarded.  The cover map increases, so a
-    bisection finds each term's rank below.
-    """
-    ranks = _cover_map(vec.shape).get(shape)
-    if ranks is None:
-        raise ValueError(f"{shape} is not below {vec.shape}")
-    out = {}
-    for rank, coeff in vec._terms.items():
-        below = bisect_left(ranks, rank)
-        if below < len(ranks) and ranks[below] == rank:
-            out[below] = coeff
-    return GTVector._trusted(shape, out)
 
 
 def gt_vector(path: AltPath) -> GTVector:

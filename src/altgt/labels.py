@@ -67,6 +67,7 @@ class AltLabel:
 
     @classmethod
     def parse(cls, text: str) -> "AltLabel":
+        text = text.strip()
         if not text.isascii():
             raise ValueError(f"label {text!r} contains non-ASCII characters; "
                              "write signs as ^+ or ^-")

@@ -64,7 +64,8 @@ class StandardTableau:
 
     @classmethod
     def parse(cls, text: str) -> "StandardTableau":
-        # spaces anywhere mean every row is space-separated (needed past 9)
+        # spaces inside the text mean every row is space-separated (needed past 9)
+        text = text.strip()
         spaced = any(ch.isspace() for ch in text)
         rows = []
         for chunk in text.split("/"):

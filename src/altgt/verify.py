@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from . import associator, yor
 from .geodesics import AltPath, class_members, geodesic_representatives, path_equivalent
-from .gt import embed, gt_vectors, restrict
+from .gt import embed, gt_vectors
 from .labels import AltLabel, dagger_down_set, dim_alt, labels, level_dimension_total
 from .partitions import Partition, cached_upward, partitions_of, self_conjugate_partitions
 from .scalars import I, ONE, ZERO, Scalar
@@ -292,12 +292,15 @@ def _gt_failure(label: AltLabel) -> str | None:
     truncations = gt_vectors(AltPath._trusted(p.labels[:-1]) for p in paths)
     for p, v, shorter in zip(paths, vectors, truncations):
         head, prev = p.labels[-1], p.labels[-2]
+        up = embed(shorter, head.partition)
         if not head.is_signed() or prev.is_signed():
-            if v != embed(shorter, head.partition):
+            if v != up:
                 return f"{p} does not extend its truncation"
-        # v lies over prev and its conjugate, blocks that phi swaps, so phi(v) = sign * v
-        # fixes the other block to sign * phi(embed(shorter)): v is the completion
-        elif restrict(v, prev.partition) != shorter:
+        # the support check puts v on the blocks over prev and over its conjugate,
+        # and the eigenvector check pairs them through phi, so each holds half of v:
+        # v restricts to shorter, its block over prev being up, exactly when up's
+        # terms are among v's and number half of them
+        elif len(v._terms) != 2 * len(up._terms) or not up._terms.items() <= v._terms.items():
             return f"{p} does not restrict to its truncation"
     return None
 

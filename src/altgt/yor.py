@@ -26,16 +26,15 @@ trusted terms through ``GTVector._trusted``: no stored coefficient is zero
 and every rank is below the shape's dimension.  Only ``act_simple`` and
 ``+``/``-`` can send two terms to the same rank; they add through
 ``_accumulate``, which drops a term whose sum cancels.  Negation,
-``scale``, ``apply_phi``, ``embed`` and ``restrict`` are injective on
-ranks, and a product of nonzero exact scalars is nonzero, so they cannot
-create a zero.
+``scale``, ``apply_phi`` and ``embed`` are injective on ranks, and a
+product of nonzero exact scalars is nonzero, so they cannot create a zero.
 
 The work that is the same for every vector of a shape is done once per
 shape, in lazily built cached tables that map ranks to ranks.
 ``act_simple`` reads Young's rule above from ``_generator_table``;
 ``associator.apply_phi`` reads each tableau's transpose and fourth root
-from ``_phi_table``; ``gt.embed`` and ``gt.restrict`` read the ranks that
-adding box n gives from the cover map.
+from ``_phi_table``; ``gt.embed`` reads the ranks that adding box n gives
+from the cover map.
 """
 
 from __future__ import annotations
@@ -214,7 +213,7 @@ def _generator_table(shape: Partition) -> tuple[tuple[array, array], ...]:
     basis, rank = enumerate_syt(shape), syt_ranks(shape)
     table = []
     for i in range(1, shape.n):
-        distances, partners = array("b"), array("l")
+        distances, partners = array("b"), array("i")
         for k, tableau in enumerate(basis):
             word = tableau.word
             r1, r2 = word[i - 1], word[i]

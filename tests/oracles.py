@@ -17,6 +17,7 @@ from altgt import AltLabel, AltPath, Partition, StandardTableau
 from altgt.labels import dagger_down_set, labels
 from altgt.scalars import Scalar
 from altgt.tableaux import append_box, enumerate_syt, syt_ranks
+from altgt.yor import GTVector
 
 
 def brute_force_syt(shape: Partition) -> set[StandardTableau]:
@@ -209,6 +210,14 @@ def remove_largest(t: StandardTableau) -> StandardTableau:
     """t without its entry n."""
     rows = [[e for e in row if e != t.n] for row in t.rows]
     return StandardTableau([r for r in rows if r])
+
+
+def restricted(vec, shape: Partition):
+    """The terms of vec whose tableaux, without entry n, have the given shape,
+    written on those smaller tableaux: the restriction that undoes an
+    inclusion, read off each tableau's rows."""
+    smaller = ((remove_largest(t), c) for t, c in vec.items())
+    return GTVector(shape, {t: c for t, c in smaller if t.shape == shape})
 
 
 def append_box_cover_map(shape: Partition) -> dict[Partition, list[int]]:

@@ -189,6 +189,11 @@ def test_bratteli_symmetric_chain(capsys):
     assert '"3:2,1" -- "2:2";' in out
 
 
+def test_paths_ignores_surrounding_whitespace(capsys):
+    spaced, plain = run_cli(capsys, "paths", "2,1^- "), run_cli(capsys, "paths", "2,1^-")
+    assert spaced == plain and plain[0] == 0
+
+
 def test_paths(capsys):
     code, out, _ = run_cli(capsys, "paths", "4,1,1")
     assert code == 0

@@ -24,6 +24,8 @@ def test_parse_and_render():
     assert str(p.endpoint) == "4,1,1"
     assert len(p) == 5
     assert [str(x) for x in p] == ["1,1", "2,1^+", "2,1,1", "3,1,1^+", "4,1,1"]
+    # each label drops its own surrounding whitespace
+    assert path(" 1,1 ; 2,1^+\n") == path("1,1;2,1^+")
 
 
 def test_validation():

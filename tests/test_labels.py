@@ -79,6 +79,8 @@ def test_parse_and_render():
     assert str(lab("2,1^+")) == "2,1^+"
     assert str(lab("4,1,1")) == "4,1,1"
     assert lab("2,1^-").sign == -1
+    assert lab(" 2,1^- ") is lab("2,1^-")  # surrounding whitespace is dropped
+    assert lab("2,1^+ \n") is lab("2,1^+")
     for bad in ("2,1", "3,1^+", "2,1^x", "2,1^", "2,1⁺"):
         with pytest.raises(ValueError):
             lab(bad)

@@ -49,6 +49,9 @@ def test_parse_and_render():
     assert big.n == 10
     assert str(big) == "1 2 3 4 5 6 7 8 9/10"
     assert StandardTableau.parse(str(big)) == big
+    # surrounding whitespace is dropped before the spaced form is decided
+    assert StandardTableau.parse(" 12/3\n") == StandardTableau.parse("12/3")
+    assert StandardTableau.parse("1 2 3 4 5 6 7 8 9/10\n") == big
     for bad in ("12/x", "12//3", ""):
         with pytest.raises(ValueError):
             StandardTableau.parse(bad)

@@ -1,10 +1,12 @@
 """The per-shape tables that vectors are read through, against rules that
 read cells off each tableau's rows."""
 
+from array import array
+
 from altgt import associator, gt, yor
-from altgt.partitions import partitions_of, self_conjugate_partitions
+from altgt.partitions import Partition, partitions_of, self_conjugate_partitions
 from altgt.scalars import I, ONE
-from altgt.tableaux import enumerate_syt, reference_tableau, syt_ranks
+from altgt.tableaux import enumerate_syt, reference_tableau, syt_count, syt_ranks
 from oracles import (
     add_box,
     brute_force_cover_rows,
@@ -79,3 +81,19 @@ def test_cover_map_adds_and_removes_box_n():
             assert list(ranks) == sorted(ranks)
         # every tableau of the shape comes from exactly one cover
         assert sorted(r for ranks in cover.values() for r in ranks) == list(range(len(basis)))
+
+
+def test_rank_arrays_hold_every_rank_to_n_20():
+    # every rank array uses one 4-byte typecode, wide enough for the largest
+    # tableau count at n = 20
+    largest = max(syt_count(shape) for shape in partitions_of(20))
+    assert largest == 249_420_600
+    shape = Partition((3, 2, 1))
+    arrays = [
+        *gt._cover_map(shape).values(),
+        associator._phi_table(shape)[0],
+        *(partners for _, partners in yor._generator_table(shape)),
+    ]
+    for typecode in {a.typecode for a in arrays}:
+        assert array(typecode).itemsize == 4
+        assert array(typecode, [largest])[0] == largest  # OverflowError if too narrow

@@ -367,6 +367,36 @@ def test_fault_injection_phase_at_endpoint(monkeypatch):
     ]
 
 
+def last_term_dropped_below(label):
+    # vectors of paths ending one level below the label lose their last term
+    # in rank order, when they have more than one; the label's own are intact
+    def vectors(paths, _orig=gt.gt_vectors):
+        paths = list(paths)
+        out = []
+        for p, v in zip(paths, _orig(paths)):
+            items = v.items()
+            if p.endpoint.n == label.n - 1 and len(items) > 1:
+                v = GTVector(v.shape, dict(items[:-1]))
+            out.append(v)
+        return out
+    return vectors
+
+
+def test_fault_injection_truncation_loses_a_term(monkeypatch):
+    # at a signed step over an unsigned label the short truncation's terms
+    # are still among the vector's, so only the term count sees the loss
+    witnesses = []
+    for text in ("3,1,1^+", "3,3,2^+", "4,2"):
+        label = AltLabel.parse(text)
+        monkeypatch.setattr(verify, "gt_vectors", last_term_dropped_below(label))
+        witnesses.append(verify_gt(label).checks[0].witness)
+    assert witnesses == [
+        "2;2,1^+;3,1;3,1,1^+ does not restrict to its truncation",
+        "2;3;3,1;3,2;3,2,1^+;3,3,1;3,3,2^+ does not restrict to its truncation",
+        "2;2,1^+;3,1;4,1;4,2 does not extend its truncation",
+    ]
+
+
 def mate_for_neighbour(label, _orig=verify.geodesic_representatives):
     # the representative before the first class with a second member at this
     # label is replaced by that member, so two vectors are proportional
