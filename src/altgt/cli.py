@@ -22,6 +22,16 @@ from .tableaux import enumerate_syt
 from .verify import Report, verify_associator, verify_gt_range, verify_yor
 from .yor import rep_matrix
 
+# --max-n ceilings: verify takes minutes at 12, bratteli 0.5 GB at 40
+MAX_VERIFY_N = 13
+MAX_BRATTELI_N = 30
+
+
+def _check_max_n(max_n: int, ceiling: int) -> None:
+    if max_n > ceiling:
+        raise ValueError(f"--max-n {max_n} is above the ceiling {ceiling}")
+
+
 def _matrix_text(mat) -> str:
     cells = [[str(x) for x in row] for row in mat]
     widths = [max(len(cells[r][c]) for r in range(len(cells))) for c in range(len(cells[0]))]
@@ -84,14 +94,12 @@ def _cmd_assoc(args) -> int:
         ]
         print(json.dumps(payload, indent=2))
     else:
-        width = max(len(str(t)) for t, _, _ in rows)
-        cwidth = max(len(str(c)) for _, c, _ in rows)
-        for t, c, tc in rows:
-            print(f"{str(t):{width}s}  {str(c):{cwidth}s}  {tc}")
+        print(_matrix_text(rows))
     return 0
 
 
 def _cmd_bratteli(args) -> int:
+    _check_max_n(args.max_n, MAX_BRATTELI_N)
     graph = bratteli(args.max_n) if args.chain == "alternating" else young_graph(args.max_n)
     if args.format == "json":
         print(json.dumps(graph.to_json_dict(), indent=2))
@@ -148,6 +156,7 @@ def _write_gt_json(basis) -> None:
 
 
 def _cmd_verify(args) -> int:
+    _check_max_n(args.max_n, MAX_VERIFY_N)
     report = Report([])
     if args.suite in ("yor", "all"):
         report.extend(verify_yor(args.max_n))

@@ -19,11 +19,11 @@ canonical label.  Path text joins labels with ";": "2;2,1^+;3,1".
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from operator import is_
 
 from .labels import AltLabel, canonical_label, conjugate_label, dagger_down_set
-from .partitions import cached_upward
 
 
 class AltPath:
@@ -101,7 +101,7 @@ class AltPath:
         return [label.to_json() for label in self._labels]
 
 
-@cached_upward(dagger_down_set, 2)
+@lru_cache(maxsize=None)
 def enumerate_paths(label: AltLabel) -> tuple[AltPath, ...]:
     """All paths ending at exactly this label, sorted by label sequence."""
     if label.n == 2:
@@ -149,7 +149,7 @@ def class_size(path: AltPath) -> int:
     return 2 ** len(_run_starts(path))
 
 
-@cached_upward(dagger_down_set, 2)
+@lru_cache(maxsize=None)
 def geodesic_representatives(label: AltLabel) -> tuple[AltPath, ...]:
     """One path per equivalence class ending at this exact label, sorted.
 

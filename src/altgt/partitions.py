@@ -1,8 +1,14 @@
-"""Integer partitions and the covering relation of Young's graph."""
+"""Integer partitions and the covering relation of Young's graph.
+
+A partition holds at most MAX_BOXES boxes, so the recursions up Young's
+graph, a few stack frames per box, stay inside Python's recursion limit.
+"""
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
+
+MAX_BOXES = 200
 
 _INTERNED: dict[tuple[int, ...], "Partition"] = {}
 
@@ -18,10 +24,11 @@ class Partition:
 
     One object per partition: the constructor returns the stored object for
     each tuple of parts and validates only on first sight, so `==` is
-    identity; a rejected value stores nothing.  Size and hash are computed
-    once, from content.  `conjugate` and the corner map, which sends each
-    partition one box below to the row of the removed corner, are cached
-    per partition; `down_set` lists its keys and `cover_row` looks a row up.
+    identity; a rejected value, such as one over MAX_BOXES boxes, stores
+    nothing.  Size and hash are computed once, from content.  `conjugate` and
+    the corner map, which sends each partition one box below to the row of
+    the removed corner, are cached per partition; `down_set` lists its keys
+    and `cover_row` looks a row up.
     """
 
     __slots__ = ("_parts", "_n", "_hash")
@@ -38,9 +45,13 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts[-1] < 1:
             raise ValueError(f"parts must be positive, got {parts}")
+        n = sum(parts)
+        if n > MAX_BOXES:
+            text = ",".join(map(str, parts))
+            raise ValueError(f"partition {text} has more than {MAX_BOXES} boxes")
         partition = _INTERNED[parts] = super().__new__(cls)
         partition._parts = parts
-        partition._n = sum(parts)
+        partition._n = n
         partition._hash = hash(parts)
         return partition
 
@@ -135,53 +146,6 @@ class Partition:
         if not self.is_self_conjugate():
             raise ValueError(f"{self} is not self-conjugate")
         return next((below for below in self._corners() if below.is_self_conjugate()), None)
-
-
-def cached_upward(down, bottom: int):
-    """lru_cache for a recursion over a graded lattice, such as Young's,
-    whose value at a node is built from the values one level down.
-
-    `down(node)` lists the nodes one level down; nodes at level `bottom`
-    have none.  On a miss the nodes below are computed first, lowest level
-    first, so that no call recurses more than one level however tall the
-    lattice is.  The calls made while filling find their own lower levels
-    cached and skip the fill.
-    """
-
-    def decorate(step):
-        filling = False
-
-        @lru_cache(maxsize=None)
-        @wraps(step)
-        def cached(node):
-            nonlocal filling
-            if not filling and node.n > bottom:
-                filling = True
-                try:
-                    for below in _below_first(node, down, bottom):
-                        cached(below)
-                finally:
-                    filling = False
-            return step(node)
-
-        return cached
-
-    return decorate
-
-
-def _below_first(top, down, bottom: int) -> list:
-    """Every node strictly below `top`, level by level from the bottom up."""
-    levels = [[top]]
-    seen = {top}
-    while levels[-1][0].n > bottom:
-        nxt = []
-        for node in levels[-1]:
-            for below in down(node):
-                if below not in seen:
-                    seen.add(below)
-                    nxt.append(below)
-        levels.append(nxt)
-    return [node for level in reversed(levels[1:]) for node in level]
 
 
 def revlex_key(partition: Partition) -> tuple[int, ...]:

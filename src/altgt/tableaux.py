@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .partitions import Partition, _integer, cached_upward
+from .partitions import Partition, _integer
 
 
 class StandardTableau:
@@ -170,7 +170,7 @@ def append_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:
     return StandardTableau._trusted(tableau._word + (row,), shape)
 
 
-@cached_upward(Partition.down_set, 1)
+@lru_cache(maxsize=None)
 def enumerate_syt(shape: Partition) -> tuple[StandardTableau, ...]:
     """All standard tableaux of a shape, ordered by row word."""
     if shape.n == 1:

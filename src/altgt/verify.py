@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import asdict, dataclass
+from functools import lru_cache
+from itertools import combinations
 
 from . import associator, yor
 from .geodesics import AltPath, class_members, geodesic_representatives, path_equivalent
 from .gt import embed, gt_vectors
 from .labels import AltLabel, dagger_down_set, dim_alt, labels, level_dimension_total
-from .partitions import Partition, cached_upward, partitions_of, self_conjugate_partitions
-from .scalars import I, ONE, ZERO, Scalar
+from .partitions import Partition, partitions_of, self_conjugate_partitions
+from .scalars import I, ONE, ZERO
 from .tableaux import enumerate_syt, reference_tableau
 from .yor import GTVector
 
@@ -211,7 +213,7 @@ def _mate_failure(
     return None
 
 
-@cached_upward(dagger_down_set, 2)
+@lru_cache(maxsize=None)
 def _path_count(label: AltLabel) -> int:
     """The number of paths ending at a label, counted without building them."""
     return 1 if label.n == 2 else sum(map(_path_count, dagger_down_set(label)))
@@ -247,18 +249,13 @@ def _gt_failure(label: AltLabel) -> str | None:
             expected = v if label.sign == 1 else -v
             if associator.apply_phi(v) != expected:
                 return f"not a {label.sign:+d} eigenvector on {p}"
-    # two vectors that share no tableau are orthogonal, so sum conj(c_a) c_b
-    # only over the pairs of vectors that hold each tableau
+    # two vectors that share no tableau are orthogonal; test the pairs that do
     holders = defaultdict(list)
     for a, v in enumerate(vectors):
-        for t, c in v._terms.items():
-            holders[t].append((a, c))
-    inner = defaultdict(Scalar)
-    for held in holders.values():
-        for k, (a, ca) in enumerate(held):
-            for b, cb in held[k + 1:]:
-                inner[a, b] += ca.conjugate() * cb
-    skew = [pair for pair, total in inner.items() if not total.is_zero()]
+        for t in v._terms:
+            holders[t].append(a)
+    sharing = {pair for held in holders.values() for pair in combinations(held, 2)}
+    skew = [(a, b) for a, b in sharing if not vectors[a].inner(vectors[b]).is_zero()]
     if skew:
         a, b = min(skew)
         return f"vectors for {paths[a]} and {paths[b]} not orthogonal"

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altgt import cli, gt, yor
+from altgt import cli, geodesics, gt, tableaux, verify, yor
 from altgt.cli import main
 from altgt.gt import gt_basis
-from altgt.labels import labels
+from altgt.labels import AltLabel, labels
 from altgt.partitions import partitions_of
 from altgt.scalars import I, Scalar
 from test_gt import recording
@@ -65,23 +65,76 @@ def test_label_below_level_two(capsys, command, label):
 
 
 def test_deep_labels(capsys):
-    # 399 branching steps: each level of the walk costs one frame at most
-    code, out, _ = run_cli(capsys, "paths", "400")
+    # 199 branching steps, the most a label at the box limit takes
+    code, out, _ = run_cli(capsys, "paths", "200")
     assert code == 0
-    assert out == ";".join(map(str, range(2, 401))) + "\t2\n"
-    code, out, _ = run_cli(capsys, "gt", "400")
+    assert out == ";".join(map(str, range(2, 201))) + "\t2\n"
+    code, out, _ = run_cli(capsys, "gt", "200")
     assert code == 0
     assert out.startswith("u[2;3;4;") and out.count("\n") == 1
 
 
-def test_labels_deeper_than_the_recursion_limit(capsys):
-    # the caches fill from the bottom up, so depth costs no stack frames
-    code, out, err = run_cli(capsys, "syt", "1200")
+def test_shapes_over_the_box_limit_exit_2(capsys):
+    code, out, err = run_cli(capsys, "syt", "200")
     assert (code, err) == (0, "")
-    assert out == " ".join(map(str, range(1, 1201))) + "\n"
-    code, out, err = run_cli(capsys, "paths", "1200")
-    assert (code, err) == (0, "")
-    assert out == ";".join(map(str, range(2, 1201))) + "\t2\n"
+    assert out == " ".join(map(str, range(1, 201))) + "\n"
+    for command, shape in [("syt", "201"), ("paths", "1200")]:
+        code, out, err = run_cli(capsys, command, shape)
+        assert (code, out) == (2, "")
+        assert err == f"error: partition {shape} has more than 200 boxes\n"
+
+
+def _call_from_depth(depth, call):
+    """call() with `depth` extra Python frames on the stack."""
+    return call() if depth == 0 else _call_from_depth(depth - 1, call)
+
+
+def test_recursions_at_the_box_limit_leave_stack_to_spare(capsys):
+    # the lattice recursions are plain recursion, a few frames per box; from
+    # 300 frames deep each must still walk a 200-box shape from cold
+    recursions = [tableaux.enumerate_syt, geodesics.enumerate_paths,
+                  geodesics.geodesic_representatives, verify._path_count]
+    label = AltLabel.parse("200")
+    calls = [lambda argv=argv: main(argv) == 0
+             for argv in (["syt", "200"], ["paths", "200"], ["gt", "200"])]
+    calls += [lambda: len(geodesics.enumerate_paths(label)) == 1,
+              lambda: verify.verify_gt(label).ok]
+    for call in calls:
+        for recursion in recursions:
+            recursion.cache_clear()
+        assert _call_from_depth(300, call)
+    capsys.readouterr()
+
+
+_HUGE = "99999999999999999999"
+_HUGE_ARGV = [
+    *[[command, shape, *extra]
+      for command, extra in [("syt", []), ("yor", ["--gen", "1"]), ("assoc", []),
+                             ("paths", []), ("gt", [])]
+      for shape in (_HUGE, "201")],
+    *[[command, "--max-n", value]
+      for command, ceiling in [("verify", cli.MAX_VERIFY_N), ("bratteli", cli.MAX_BRATTELI_N)]
+      for value in (_HUGE, str(ceiling + 1))],
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE_ARGV, ids="-".join)
+def test_huge_inputs_exit_2_under_a_memory_limit(argv):
+    # each in a child limited to 400 MB of address space, so a walk that
+    # starts anyway fails or times out instead of taking the machine's memory
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "altgt.cli", *argv],
+        capture_output=True, text=True, timeout=10, preexec_fn=limit_memory,
+        env=_python_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    token = argv[-1] if argv[1] == "--max-n" else argv[1]
+    assert token in proc.stderr
 
 
 GOLDEN_DIGESTS = json.loads(Path(__file__).with_name("golden_digests.json").read_text())

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from altgt import partitions as partitions_module
+from altgt.geodesics import AltPath
 from altgt.labels import AltLabel, canonical_label
 from altgt.partitions import (
     Partition,
@@ -182,6 +183,8 @@ def test_rejected_partitions_are_not_interned():
         ((), "a partition needs at least one part"),
         ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
         ((2, 0), "parts must be positive, got (2, 0)"),
+        ((201,), "partition 201 has more than 200 boxes"),
+        ((100, 100, 1), "partition 100,100,1 has more than 200 boxes"),
     ]
     for parts, message in rejected:
         before = dict(partitions_module._INTERNED)
@@ -191,6 +194,17 @@ def test_rejected_partitions_are_not_interned():
             assert str(info.value) == message
         assert partitions_module._INTERNED == before
         assert parts not in partitions_module._INTERNED
+
+
+def test_every_parser_refuses_shapes_over_the_box_limit():
+    for parse, text in [
+        (Partition.parse, "201"),
+        (AltLabel.parse, "101,100"),
+        (AltPath.parse, ";".join(map(str, range(2, 202)))),
+        (StandardTableau.parse, " ".join(map(str, range(1, 202)))),
+    ]:
+        with pytest.raises(ValueError, match="^partition [0-9,]+ has more than 200 boxes$"):
+            parse(text)
 
 
 def test_equal_partitions_hash_alike_on_every_route():

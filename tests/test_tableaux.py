@@ -105,10 +105,10 @@ def test_syt_count_walks_nothing():
     misses = Partition._corners.cache_info().misses
     assert syt_count(Partition((31, 17, 4))) == 368152484687635375
     assert Partition._corners.cache_info().misses == misses
-    # closed forms on shapes far beyond any walk
-    assert syt_count(Partition((300, 300))) == comb(600, 300) // 301  # Catalan(300)
-    assert syt_count(Partition((1200,))) == 1
-    assert syt_count(Partition((1199, 1))) == 1199
+    # closed forms on shapes at the box limit, far beyond any walk
+    assert syt_count(Partition((100, 100))) == comb(200, 100) // 101  # Catalan(100)
+    assert syt_count(Partition((200,))) == 1
+    assert syt_count(Partition((199, 1))) == 199
 
 
 def test_row_superstandard():
