@@ -11,6 +11,8 @@ carrying the anchor (reference) tableau to T cellwise.  Squaring gives the
 identity, and the map anticommutes with every adjacent transposition.
 apply_phi reads each root and transpose rank from a table that assoc_coeff
 fills once per shape, so no term recounts the inversions of its tableau.
+The table stores each root as its exponent k of i, so phi_exponents applies
+the same map to a vector written as rank -> k, the form of the gt walk.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from array import array
 from functools import lru_cache
 
 from .partitions import Partition
-from .scalars import Scalar, i_power
+from .scalars import I_POWERS, Scalar, i_power
 from .tableaux import StandardTableau, enumerate_syt, permutation_sign, syt_ranks
 from .yor import GTVector
 
@@ -38,15 +40,25 @@ def assoc_coeff(tableau: StandardTableau) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _phi_table(shape: Partition) -> tuple[array, tuple[Scalar, ...]]:
-    """By rank: the rank of each tableau's transpose, and its assoc_coeff."""
+def _phi_table(shape: Partition) -> tuple[array, bytes]:
+    """By rank: the rank of each tableau's transpose, and the exponent k of
+    its assoc_coeff i^k."""
     basis, rank = enumerate_syt(shape), syt_ranks(shape)
-    roots = tuple(assoc_coeff(t) for t in basis)  # raises unless self-conjugate
-    return array("i", (rank[t.conjugate()] for t in basis)), roots
+    # raises unless self-conjugate
+    exponents = bytes(I_POWERS.index(assoc_coeff(t)) for t in basis)
+    return array("i", (rank[t.conjugate()] for t in basis)), exponents
 
 
 def apply_phi(vec: GTVector) -> GTVector:
     """Linear extension of v_T -> assoc_coeff(T) * v_{T transposed}."""
-    partners, roots = _phi_table(vec.shape)
-    out = {partners[r]: c.times_fourth_root(roots[r]) for r, c in vec._terms.items()}
+    partners, exponents = _phi_table(vec.shape)
+    out = {partners[r]: c.times_fourth_root(I_POWERS[exponents[r]])
+           for r, c in vec._terms.items()}
     return GTVector._trusted(vec.shape, out)
+
+
+def phi_exponents(shape: Partition, terms: dict[int, int]) -> dict[int, int]:
+    """apply_phi on a vector of the shape written as rank -> k, for the sum
+    of i^k v_rank: each rank moves to its transpose's and adds its root's k."""
+    partners, exponents = _phi_table(shape)
+    return {partners[r]: (k + exponents[r]) & 3 for r, k in terms.items()}

@@ -321,9 +321,10 @@ def sqrt_rational(value) -> Scalar:
     return Scalar({q: Fraction(g, b)})
 
 
-_I_POWERS = (ONE, I, -ONE, -I)
+# i**k at index k, for k in 0..3: the coefficients of an unnormalized GT vector
+I_POWERS = (ONE, I, -ONE, -I)
 
 
 def i_power(k: int) -> Scalar:
     """i**k for any integer k."""
-    return _I_POWERS[k % 4]
+    return I_POWERS[k % 4]

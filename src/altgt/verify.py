@@ -5,6 +5,11 @@ anywhere.  Each suite walks its shapes in deterministic order and stops at
 the first failure within a shape.  The yor suite checks each shape's own
 level and trusts the levels below, so a shape above a failure fails with a
 witness that names it.  The other suites judge each subject on its own.
+
+The gt suite reads each vector as the walk yields it, a map rank -> k for
+the sum of i^k v_rank, so every coefficient is a unit by construction and
+no check builds a Scalar: the phi eigenvector, class-mate, orthogonality
+and truncation checks compare and count exponents.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import combinations
 
 from . import associator, yor
 from .geodesics import AltPath, class_members, geodesic_representatives, path_equivalent
-from .gt import embed, gt_vectors
+from .gt import carry, embed, gt_vectors
 from .labels import AltLabel, dagger_down_set, dim_alt, labels, level_dimension_total
 from .partitions import Partition, partitions_of, self_conjugate_partitions
 from .scalars import I, ONE, ZERO
@@ -196,21 +201,38 @@ def verify_associator(max_n: int) -> Report:
 
 
 def _mate_failure(
-    p: AltPath, base: GTVector, first: int, mate: AltPath, other: GTVector
+    p: AltPath, base: dict[int, int], mate: AltPath, other: dict[int, int]
 ) -> str | None:
     """First failed check of one class mate against its representative, or
-    None.  first is the lowest rank of base, whose coefficients are units,
-    so conjugating inverts them."""
+    None.  Both vectors are exponent maps rank -> k for i^k, so the mate is
+    a unit multiple i^j of the representative exactly when every exponent
+    moves by the same j."""
     if not path_equivalent(p, mate):
         return f"class of {p}: member {mate} is not equivalent"
-    if other._terms.keys() != base._terms.keys():
+    if other.keys() != base.keys():
         return f"class of {p} has mismatched supports"
-    ratio = other._terms[first] * base._terms[first].conjugate()
-    if not ratio.is_fourth_root():
-        return f"class of {p}: ratio {ratio} is not a unit"
-    if any(other._terms[t] != c.times_fourth_root(ratio) for t, c in base._terms.items()):
+    first = next(iter(base))
+    ratio = (other[first] - base[first]) & 3
+    if other != ({r: (k + ratio) & 3 for r, k in base.items()} if ratio else base):
         return f"class of {p}: members not proportional"
     return None
+
+
+def _skew_pairs(vectors: list[dict[int, int]]) -> list[tuple[int, int]]:
+    """The index pairs a < b of exponent maps that are not orthogonal.  Two
+    vectors that share no rank are orthogonal, so only the pairs that do are
+    counted: their inner product is the sum of i^(kb - ka) over the shared
+    ranks, zero exactly when the differences 0 and 2 are equally many, and
+    so are 1 and 3."""
+    holders = defaultdict(list)
+    for a, v in enumerate(vectors):
+        for r, k in v.items():
+            holders[r].append((a, k))
+    counts = defaultdict(lambda: [0, 0, 0, 0])
+    for held in holders.values():
+        for (a, ka), (b, kb) in combinations(held, 2):
+            counts[a, b][(kb - ka) & 3] += 1
+    return [pair for pair, (c0, c1, c2, c3) in counts.items() if c0 != c2 or c1 != c3]
 
 
 @lru_cache(maxsize=None)
@@ -224,19 +246,19 @@ def _gt_failure(label: AltLabel) -> str | None:
     paths = geodesic_representatives(label)
     if len(paths) != dim_alt(label):
         return f"{len(paths)} classes, expected dimension {dim_alt(label)}"
+    shape = label.partition
     vectors = list(gt_vectors(paths))
     for p, v in zip(paths, vectors):
-        if not v._terms:
+        if not v:
             return f"zero vector on {p}"
-        if not all(c.is_fourth_root() for c in v._terms.values()):
-            return f"non-unit coefficient on {p}"
     # every term's partial shapes must follow the path up to conjugation;
     # one walk of each tableau's word keeps the row counts of its prefix
+    basis = enumerate_syt(shape)
     for p, v in zip(paths, vectors):
         steps = [(step.n, step.partition.parts, step.partition.conjugate().parts) for step in p]
-        for t in v.support():
+        for r in v:
             counts = [1]
-            for (n, parts, conjugate), row in zip(steps, t.word[1:]):
+            for (n, parts, conjugate), row in zip(steps, basis[r].word[1:]):
                 if row < len(counts):
                     counts[row] += 1
                 else:
@@ -246,16 +268,11 @@ def _gt_failure(label: AltLabel) -> str | None:
                     return f"support of {p} strays at level {n}"
     if label.is_signed():
         for p, v in zip(paths, vectors):
-            expected = v if label.sign == 1 else -v
-            if associator.apply_phi(v) != expected:
+            # phi(v) = -v adds 2 to every exponent
+            expected = v if label.sign == 1 else {r: (k + 2) & 3 for r, k in v.items()}
+            if associator.phi_exponents(shape, v) != expected:
                 return f"not a {label.sign:+d} eigenvector on {p}"
-    # two vectors that share no tableau are orthogonal; test the pairs that do
-    holders = defaultdict(list)
-    for a, v in enumerate(vectors):
-        for t in v._terms:
-            holders[t].append(a)
-    sharing = {pair for held in holders.values() for pair in combinations(held, 2)}
-    skew = [(a, b) for a, b in sharing if not vectors[a].inner(vectors[b]).is_zero()]
+    skew = _skew_pairs(vectors)
     if skew:
         a, b = min(skew)
         return f"vectors for {paths[a]} and {paths[b]} not orthogonal"
@@ -269,11 +286,10 @@ def _gt_failure(label: AltLabel) -> str | None:
         ((mate, r) for r, p in enumerate(paths) for mate in class_members(p)),
         key=lambda pair: pair[0].sort_key(),
     )
-    firsts = [min(v._terms) for v in vectors]
     failed, witness = len(paths), None
     for (mate, r), other in zip(tagged, gt_vectors(mate for mate, _ in tagged)):
         if r < failed:
-            failure = _mate_failure(paths[r], vectors[r], firsts[r], mate, other)
+            failure = _mate_failure(paths[r], vectors[r], mate, other)
             if failure is not None:
                 failed, witness = r, failure
     if witness is not None:
@@ -289,7 +305,7 @@ def _gt_failure(label: AltLabel) -> str | None:
     truncations = gt_vectors(AltPath._trusted(p.labels[:-1]) for p in paths)
     for p, v, shorter in zip(paths, vectors, truncations):
         head, prev = p.labels[-1], p.labels[-2]
-        up = embed(shorter, head.partition)
+        up = carry(shorter, prev.partition, shape)
         if not head.is_signed() or prev.is_signed():
             if v != up:
                 return f"{p} does not extend its truncation"
@@ -297,7 +313,7 @@ def _gt_failure(label: AltLabel) -> str | None:
         # and the eigenvector check pairs them through phi, so each holds half of v:
         # v restricts to shorter, its block over prev being up, exactly when up's
         # terms are among v's and number half of them
-        elif len(v._terms) != 2 * len(up._terms) or not up._terms.items() <= v._terms.items():
+        elif len(v) != 2 * len(up) or not up.items() <= v.items():
             return f"{p} does not restrict to its truncation"
     return None
 

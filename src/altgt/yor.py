@@ -32,9 +32,11 @@ product of nonzero exact scalars is nonzero, so they cannot create a zero.
 The work that is the same for every vector of a shape is done once per
 shape, in lazily built cached tables that map ranks to ranks.
 ``act_simple`` reads Young's rule above from ``_generator_table``;
-``associator.apply_phi`` reads each tableau's transpose and fourth root
-from ``_phi_table``; ``gt.embed`` reads the ranks that adding box n gives
-from the cover map.
+``associator.apply_phi`` reads each tableau's transpose and the exponent k
+of its fourth root i^k from ``_phi_table``, and ``associator.phi_exponents``
+reads the same table for the gt walk's vectors, maps rank -> k;
+``gt.embed`` reads the ranks that adding box n gives from the cover map,
+through ``gt.carry``, which moves the walk's exponent maps too.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ from itertools import permutations, product
 from math import isqrt, lcm
 
 from altgt import AltLabel, AltPath, Partition, StandardTableau
+from altgt.associator import apply_phi
+from altgt.gt import embed
 from altgt.labels import dagger_down_set, labels
 from altgt.scalars import Scalar
 from altgt.tableaux import append_box, enumerate_syt, syt_ranks
@@ -230,6 +232,22 @@ def append_box_cover_map(shape: Partition) -> dict[Partition, list[int]]:
         below: [rank[append_box(t, shape)] for t in enumerate_syt(below)]
         for below in shape.down_set()
     }
+
+
+def scalar_walk(path: AltPath) -> GTVector:
+    """The unnormalized GT vector of a path in the library's Scalar
+    arithmetic: the base tableau, `embed` at every step, and w + phi(w) or
+    w - phi(w), by `associator.apply_phi` and GTVector `+`/`-`, at a signed
+    step over an unsigned label.  Unlike the rest of this module it uses the
+    library's maps; it is the walk before coefficients became exponents."""
+    first = path.labels[0].partition
+    vec = GTVector.basis(enumerate_syt(first)[0])
+    for prev, head in zip(path.labels, path.labels[1:]):
+        vec = embed(vec, head.partition)
+        if head.is_signed() and not prev.is_signed():
+            mirrored = apply_phi(vec)
+            vec = vec + mirrored if head.sign == 1 else vec - mirrored
+    return vec
 
 
 # The scalar ring, without altgt.scalars arithmetic.  A raw value is a list

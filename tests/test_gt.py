@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from altgt import gt
+from altgt import gt, verify
 from altgt.associator import apply_phi
 from altgt.geodesics import AltPath, enumerate_paths, geodesic_representatives
 from altgt.gt import embed, gt_basis, gt_vector, gt_vectors
 from altgt.labels import AltLabel, labels
 from altgt.partitions import Partition, partitions_of
-from altgt.scalars import I, ONE, Scalar, sqrt_rational
+from altgt.scalars import I, I_POWERS, ONE, Scalar, sqrt_rational
 from altgt.tableaux import StandardTableau
 from altgt.yor import GTVector
-from oracles import append_box_cover_map, restricted
+from oracles import append_box_cover_map, restricted, scalar_walk
 
 
 def vec(shape_text, terms):
@@ -22,6 +22,11 @@ def vec(shape_text, terms):
 
 def path(text):
     return AltPath.parse(text)
+
+
+def units(p, terms):
+    """The vector of a path from its exponent map rank -> k."""
+    return GTVector._trusted(p.endpoint.partition, {r: I_POWERS[k] for r, k in terms.items()})
 
 
 def test_base_vectors():
@@ -108,7 +113,7 @@ def test_gt_vectors_in_any_order():
             paths.extend(enumerate_paths(label))
     random.Random(0).shuffle(paths)
     paths = [q for p in paths[:150] for q in (p, AltPath(p.labels[:2]))]
-    assert list(gt_vectors(paths)) == [gt_vector(p) for p in paths]
+    assert [units(p, v) for p, v in zip(paths, gt_vectors(paths))] == [gt_vector(p) for p in paths]
     assert list(gt_vectors([])) == []
 
 
@@ -119,7 +124,7 @@ def test_gt_vectors_is_lazy():
         raise RuntimeError("read past the first path")
 
     vectors = gt_vectors(paths())
-    assert next(vectors) == vec("2,1", [("12/3", ONE), ("13/2", I)])
+    assert units(path("2;2,1^+"), next(vectors)) == vec("2,1", [("12/3", ONE), ("13/2", I)])
     with pytest.raises(RuntimeError, match="read past"):
         next(vectors)
 
@@ -142,6 +147,43 @@ def test_normalization():
     assert list(gt_basis(AltLabel.parse("2"), normalize=True)) == [
         (path("2"), vec("2", [("12", ONE)]))
     ]
+
+
+def test_walk_yields_exponents_and_basis_shares_units():
+    # the walk holds i^k as k in 0..3, and gt_basis turns each k into one of
+    # the four unit scalars, shared rather than rebuilt
+    for n in range(2, 9):
+        for label in labels(n):
+            for terms in gt_vectors(geodesic_representatives(label)):
+                assert all(type(k) is int and k in range(4) for k in terms.values())
+            for _, u in gt_basis(label):
+                assert all(any(c is unit for unit in I_POWERS) for c in u._terms.values())
+
+
+def test_walk_matches_scalar_arithmetic():
+    # the exponent walk against the construction in Scalar arithmetic
+    for n in range(2, 9):
+        for label in labels(n):
+            for p in geodesic_representatives(label):
+                assert gt_vector(p) == scalar_walk(p), p
+    # the exponent-count orthogonality rule against GTVector.inner, on every
+    # pair of paths to one label that share a tableau; class mates are
+    # proportional, so both outcomes occur
+    outcomes = set()
+    for n in range(2, 8):
+        for label in labels(n):
+            paths = enumerate_paths(label)
+            exponents = list(gt_vectors(paths))
+            vectors = [units(p, v) for p, v in zip(paths, exponents)]
+            skew = set(verify._skew_pairs(exponents))
+            for a, u in enumerate(vectors):
+                for b in range(a + 1, len(vectors)):
+                    if u._terms.keys() & vectors[b]._terms.keys():
+                        orthogonal = u.inner(vectors[b]).is_zero()
+                        assert ((a, b) not in skew) == orthogonal, (label, a, b)
+                        outcomes.add(orthogonal)
+            assert skew <= {(a, b) for a in range(len(paths)) for b in range(a + 1, len(paths))}
+    assert outcomes == {True, False}
 
 
 def test_coefficients_are_fourth_roots():
@@ -205,6 +247,6 @@ def test_gt_basis_checks_the_class_count_before_building(monkeypatch):
 def test_overlapping_halves_raise(monkeypatch):
     # an intertwiner that fixes the carried vector breaks the disjoint-support
     # invariant of the eigenspace completion
-    monkeypatch.setattr(gt, "apply_phi", lambda vec: vec)
+    monkeypatch.setattr(gt, "phi_exponents", lambda shape, terms: dict(terms))
     with pytest.raises(RuntimeError, match="overlap"):
         gt_vector(path("2;2,1^+"))

@@ -52,15 +52,18 @@ def test_generator_table_is_youngs_rule():
 def test_phi_table_is_the_transpose_and_its_root():
     shapes = [shape for n in range(1, 10) for shape in self_conjugate_partitions(n)]
     assert len(shapes) == 10
+    powers = (ONE, I, -ONE, -I)
     for shape in shapes:
         basis = enumerate_syt(shape)
-        partners, roots = associator._phi_table(shape)
+        partners, exponents = associator._phi_table(shape)
         assert [basis[r] for r in partners] == [transpose(t) for t in basis]
-        # i^((n - d)/2) times the sign of the cellwise map from the anchor
+        assert isinstance(exponents, bytes) and len(exponents) == len(basis)
+        # i^((n - d)/2) times the sign of the cellwise map from the anchor,
+        # stored as its exponent k of i
         d = sum(1 for r, part in enumerate(shape.parts) if part > r)
-        root = (ONE, I, -ONE, -I)[(shape.n - d) // 2 % 4]
+        root = powers[(shape.n - d) // 2 % 4]
         ref = reference_tableau(shape)
-        for t, got in zip(basis, roots):
+        for t, got in zip(basis, map(powers.__getitem__, exponents)):
             mapping = {}
             for r, row in enumerate(ref.rows):
                 for c, entry in enumerate(row):
