@@ -21,7 +21,7 @@ from array import array
 from functools import lru_cache
 
 from .partitions import Partition
-from .scalars import I_POWERS, Scalar, i_power
+from .scalars import I_POWERS, Scalar
 from .tableaux import StandardTableau, enumerate_syt, permutation_sign, syt_ranks
 from .yor import GTVector
 
@@ -34,9 +34,8 @@ def assoc_coeff(tableau: StandardTableau) -> Scalar:
     n, d = shape.n, shape.diagonal_length()
     if (n - d) % 2:
         raise RuntimeError(f"n - d is odd for the self-conjugate shape {shape}")
-    root = i_power((n - d) // 2)
-    sign = permutation_sign(tableau)
-    return root if sign == 1 else -root
+    # the sign is 1 = i^0 or -1 = i^2
+    return I_POWERS[((n - d) // 2 + 1 - permutation_sign(tableau)) % 4]
 
 
 @lru_cache(maxsize=None)
@@ -52,8 +51,7 @@ def _phi_table(shape: Partition) -> tuple[array, bytes]:
 def apply_phi(vec: GTVector) -> GTVector:
     """Linear extension of v_T -> assoc_coeff(T) * v_{T transposed}."""
     partners, exponents = _phi_table(vec.shape)
-    out = {partners[r]: c.times_fourth_root(I_POWERS[exponents[r]])
-           for r, c in vec._terms.items()}
+    out = {partners[r]: c * I_POWERS[exponents[r]] for r, c in vec._terms.items()}
     return GTVector._trusted(vec.shape, out)
 
 

@@ -87,8 +87,6 @@ _STYLES = {
 }
 # how a coefficient of 1 or -1 on a radical is written
 _SIGNS = {(1, 0, 1): "", (-1, 0, 1): "-"}
-# the fourth roots of unity 1, -1, i, -i as triples
-_FOURTH_ROOTS = {*_SIGNS, (0, 1, 1), (0, -1, 1)}
 
 
 def _render(terms: dict[int, tuple[int, int, int]], style: str) -> str:
@@ -122,9 +120,9 @@ def _render(terms: dict[int, tuple[int, int, int]], style: str) -> str:
 class Scalar:
     """Element of the coefficient ring: a map radicand -> reduced (a, b, d).
 
-    Construct through the classmethods (``rational``, ``gaussian``) or the
-    module helpers (``sqrt_rational``, ``i_power``); the constructor accepts
-    a mapping of radicands to int or Fraction coefficients and
+    Construct through the classmethods (``rational``, ``gaussian``), the
+    helper ``sqrt_rational`` or the units ``I_POWERS``; the constructor
+    accepts a mapping of radicands to int or Fraction coefficients and
     canonicalizes it.
     """
 
@@ -201,16 +199,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def times_fourth_root(self, root: "Scalar") -> "Scalar":
-        """self * root for a fourth root of unity x + y*i.  Multiplying
-        (a + b*i)/d by it rotates (a, b), which keeps gcd(a, b, d), so no
-        triple needs reducing."""
-        if len(root._terms) != 1 or root._terms.get(1) not in _FOURTH_ROOTS:
-            raise ValueError(f"{root} is not a fourth root of unity")
-        x, y, _ = root._terms[1]
-        return Scalar._of({q: (a * x - b * y, a * y + b * x, d)
-                           for q, (a, b, d) in self._terms.items()})
-
     def inverse(self) -> "Scalar":
         """Invert a single-term value g*sqrt(q); general sums are not supported."""
         if not self._terms:
@@ -229,10 +217,6 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         return Scalar._of({q: (a, -b, d) for q, (a, b, d) in self._terms.items()})
-
-    def is_fourth_root(self) -> bool:
-        """Whether the value is 1, -1, i or -i."""
-        return len(self._terms) == 1 and self._terms.get(1) in _FOURTH_ROOTS
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -323,8 +307,3 @@ def sqrt_rational(value) -> Scalar:
 
 # i**k at index k, for k in 0..3: the coefficients of an unnormalized GT vector
 I_POWERS = (ONE, I, -ONE, -I)
-
-
-def i_power(k: int) -> Scalar:
-    """i**k for any integer k."""
-    return I_POWERS[k % 4]

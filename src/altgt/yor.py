@@ -154,9 +154,6 @@ class GTVector:
                 total = total + c.conjugate() * oc
         return total
 
-    def norm_squared(self) -> Scalar:
-        return self.inner(self)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GTVector):
             return NotImplemented

@@ -6,10 +6,11 @@ from altgt import associator
 from altgt.associator import apply_phi, assoc_coeff
 from altgt.gt import embed
 from altgt.partitions import Partition, self_conjugate_partitions
-from altgt.scalars import I, ONE
+from altgt.scalars import I, I_POWERS, ONE
 from altgt.tableaux import StandardTableau, enumerate_syt, reference_tableau
 from altgt.verify import verify_gt_range
-from altgt.yor import GTVector, act_word
+from altgt.yor import GTVector, act_simple, act_word
+from oracles import canonical_terms, raw_product, raw_terms
 
 
 def test_rejects_non_self_conjugate():
@@ -67,6 +68,25 @@ def test_phi_smallest_case():
     t1, t2 = enumerate_syt(shape)
     assert apply_phi(GTVector.basis(t1)) == GTVector(shape, {t2: I})
     assert apply_phi(GTVector.basis(t2)) == GTVector(shape, {t1: -I})
+
+
+def test_apply_phi_is_the_term_by_term_product():
+    # act_simple gives radical coefficients, and scaling by I and by 1 + i
+    # makes them imaginary and mixed Gaussian
+    assert I_POWERS == (ONE, I, -ONE, -I)
+    for n in range(3, 8):
+        for shape in self_conjugate_partitions(n):
+            for t in enumerate_syt(shape):
+                assert any(assoc_coeff(t) is unit for unit in I_POWERS)
+                for i in range(1, n):
+                    v = act_simple(i, GTVector.basis(t))
+                    for w in (v, v.scale(I), v.scale(ONE + I)):
+                        image = apply_phi(w)
+                        assert len(image.items()) == len(w.items())
+                        for s, c in w.items():
+                            expected = raw_product(raw_terms(c), raw_terms(assoc_coeff(s)))
+                            assert image.coefficient(s.conjugate()).terms() == \
+                                canonical_terms(expected)
 
 
 def test_phi_is_an_involution():

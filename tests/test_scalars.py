@@ -10,7 +10,6 @@ from altgt.scalars import (
     ONE,
     ZERO,
     Scalar,
-    i_power,
     split_square,
     sqrt_rational,
 )
@@ -87,29 +86,6 @@ def test_conjugation_flips_i():
     assert I.conjugate() == -I
     mixed = Scalar.gaussian(1, 2) + sqrt_rational(3)
     assert mixed.conjugate() == Scalar.gaussian(1, -2) + sqrt_rational(3)
-
-
-def test_fourth_root_detection():
-    assert ONE.is_fourth_root()
-    assert (-ONE).is_fourth_root()
-    assert I.is_fourth_root()
-    assert (-I).is_fourth_root()
-    assert not Scalar.rational(2).is_fourth_root()
-    assert not sqrt_rational(2).is_fourth_root()
-    assert not ZERO.is_fourth_root()
-    assert (I * I).is_fourth_root() and I * I == -ONE
-    half = Fraction(1, 2)
-    assert not Scalar.rational(half).is_fourth_root()
-    assert not Scalar.gaussian(0, half).is_fourth_root()
-    assert not Scalar.gaussian(1, 1).is_fourth_root()
-    assert not Scalar.gaussian(-1, -1).is_fourth_root()
-    assert not (ONE + sqrt_rational(2)).is_fourth_root()
-
-
-def test_i_power_cycle():
-    assert [i_power(k) for k in range(4)] == [ONE, I, -ONE, -I]
-    assert i_power(6) == -ONE
-    assert i_power(-1) == -I
 
 
 def test_monomial_inverse():
@@ -284,20 +260,6 @@ def test_fault_injection_unreduced_triple(monkeypatch):
     monkeypatch.setattr(scalar_module, "_norm", lambda a, b, d: (a, b, d))
     with pytest.raises(AssertionError, match="unreduced triple"):
         assert_canonical(half * 2, reference)
-
-
-@given(scalars(), st.sampled_from([ONE, I, -ONE, -I]))
-def test_times_fourth_root_matches_product(a, root):
-    got = a.times_fourth_root(root)
-    assert got == a * root
-    assert_canonical(got, raw_product(raw_terms(a), raw_terms(root)))
-
-
-def test_times_fourth_root_refuses_other_values():
-    for value in (ZERO, Scalar.rational(2), Scalar.gaussian(1, 1), sqrt_rational(2),
-                  Scalar.rational(Fraction(1, 2)), ONE + sqrt_rational(2)):
-        with pytest.raises(ValueError, match="fourth root"):
-            ONE.times_fourth_root(value)
 
 
 def test_cancelling_product():

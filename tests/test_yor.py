@@ -68,7 +68,7 @@ def test_inner_product_is_hermitian():
     w = GTVector(Partition((2, 1)), {t1: I})
     assert v.inner(w) == I
     assert w.inner(v) == -I  # conjugate of the above
-    assert v.norm_squared() == Scalar.rational(2)
+    assert v.inner(v) == Scalar.rational(2)
 
 
 def test_vector_latex():
