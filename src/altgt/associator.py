@@ -9,10 +9,12 @@ root of unity times the basis vector of the transposed tableau:
 where d is the diagonal length of the shape and w_T is the permutation
 carrying the anchor (reference) tableau to T cellwise.  Squaring gives the
 identity, and the map anticommutes with every adjacent transposition.
-apply_phi reads each root and transpose rank from a table that assoc_coeff
-fills once per shape, so no term recounts the inversions of its tableau.
-The table stores each root as its exponent k of i, so phi_exponents applies
-the same map to a vector written as rank -> k, the form of the gt walk.
+assoc_coeff returns the root as one of the shared units ``I_POWERS``, and a
+table filled from it once per shape holds each tableau's transpose rank and
+root exponent k, so no term recounts the inversions of its tableau.
+apply_phi multiplies each coefficient by ``I_POWERS[k]``, and phi_exponents
+adds k to each exponent of a vector written as rank -> k, the form of the
+gt walk.
 """
 
 from __future__ import annotations

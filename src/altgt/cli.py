@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on unusable input (a one-line diagnostic names the offending token).  A
+2 on unusable input or a shape past its command's tableau ceiling (a
+one-line diagnostic names the offending token).  A
 reader that closes stdout early, as `head` does, ends the run with exit 0.
 """
 
@@ -18,18 +19,34 @@ from .geodesics import class_size, geodesic_representatives
 from .gt import gt_basis
 from .labels import AltLabel, bratteli, young_graph
 from .partitions import Partition
-from .tableaux import enumerate_syt
+from .tableaux import enumerate_syt, syt_count
 from .verify import Report, verify_associator, verify_gt_range, verify_yor
 from .yor import rep_matrix
 
 # --max-n ceilings: verify takes minutes at 12, bratteli 0.5 GB at 40
 MAX_VERIFY_N = 13
 MAX_BRATTELI_N = 30
+# Tableau ceilings, measured so that each admitted command runs in 400 MB of
+# address space.  enumerate_syt caches every level below a shape of n boxes,
+# each level at most syt_count(shape) tableaux of at most n entries, so syt
+# and paths are bounded on n^2 * syt_count(shape).  gt and assoc also keep a
+# vector or an output row per tableau, so their ceiling on the same product
+# is lower.  yor holds a dense matrix of dim^2 entries, dim = syt_count(shape).
+MAX_SYT_ENTRIES = 70_000_000
+MAX_GT_ENTRIES = 30_000_000
+MAX_YOR_DIM = 1_500
 
 
 def _check_max_n(max_n: int, ceiling: int) -> None:
     if max_n > ceiling:
         raise ValueError(f"--max-n {max_n} is above the ceiling {ceiling}")
+
+
+def _check_entries(shape: Partition, name, ceiling: int) -> None:
+    """Refuse the shape, named `name` in the message, when n^2 times its
+    tableau count is above the ceiling; nothing is walked."""
+    if shape.n ** 2 * syt_count(shape) > ceiling:
+        raise ValueError(f"{name}: n^2 times the tableau count is above the ceiling {ceiling}")
 
 
 def _matrix_text(mat) -> str:
@@ -48,6 +65,7 @@ def _matrix_latex(mat) -> str:
 
 def _cmd_syt(args) -> int:
     shape = Partition.parse(args.shape)
+    _check_entries(shape, shape, MAX_SYT_ENTRIES)
     for tableau in enumerate_syt(shape):
         print(tableau)
     return 0
@@ -55,6 +73,8 @@ def _cmd_syt(args) -> int:
 
 def _cmd_yor(args) -> int:
     shape = Partition.parse(args.shape)
+    if syt_count(shape) > MAX_YOR_DIM:
+        raise ValueError(f"{shape}: the dimension is above the ceiling {MAX_YOR_DIM}")
     if not 1 <= args.gen <= shape.n - 1:
         raise ValueError(
             f"generator {args.gen} out of range 1..{shape.n - 1} for shape {shape}"
@@ -77,22 +97,18 @@ def _cmd_yor(args) -> int:
 
 def _cmd_assoc(args) -> int:
     shape = Partition.parse(args.shape)
+    _check_entries(shape, shape, MAX_GT_ENTRIES)
     if not shape.is_self_conjugate():
         raise ValueError(f"shape {shape} is not self-conjugate")
-    rows = []
-    for tableau in enumerate_syt(shape):
-        coeff = assoc_coeff(tableau)
-        rows.append((tableau, coeff, tableau.conjugate()))
+    rows = [(t, assoc_coeff(t), t.conjugate()) for t in enumerate_syt(shape)]
     if args.format == "json":
-        payload = [
-            {
-                "tableau": t.to_json(),
-                "coeff": c.to_json(),
-                "conjugate": tc.to_json(),
-            }
-            for t, c, tc in rows
-        ]
-        print(json.dumps(payload, indent=2))
+        # json.dumps(payload, indent=2) of the list of rows, a row at a time
+        write, sep = sys.stdout.write, "[\n  "
+        for t, c, tc in rows:
+            row = {"tableau": t.to_json(), "coeff": c.to_json(), "conjugate": tc.to_json()}
+            write(sep + json.dumps(row, indent=2).replace("\n", "\n  "))
+            sep = ",\n  "
+        write("\n]\n")
     else:
         print(_matrix_text(rows))
     return 0
@@ -110,6 +126,7 @@ def _cmd_bratteli(args) -> int:
 
 def _cmd_paths(args) -> int:
     label = AltLabel.parse(args.label)
+    _check_entries(label.partition, label, MAX_SYT_ENTRIES)
     for path in geodesic_representatives(label):
         print(f"{path}\t{class_size(path)}")
     return 0
@@ -117,6 +134,7 @@ def _cmd_paths(args) -> int:
 
 def _cmd_gt(args) -> int:
     label = AltLabel.parse(args.label)
+    _check_entries(label.partition, label, MAX_GT_ENTRIES)
     basis = gt_basis(label, normalize=args.normalize)
     if args.format == "json":
         _write_gt_json(basis)

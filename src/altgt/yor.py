@@ -33,8 +33,9 @@ The work that is the same for every vector of a shape is done once per
 shape, in lazily built cached tables that map ranks to ranks.
 ``act_simple`` reads Young's rule above from ``_generator_table``;
 ``associator.apply_phi`` reads each tableau's transpose and the exponent k
-of its fourth root i^k from ``_phi_table``, and ``associator.phi_exponents``
-reads the same table for the gt walk's vectors, maps rank -> k;
+of its fourth root from ``_phi_table`` and multiplies by ``I_POWERS[k]``,
+and ``associator.phi_exponents`` reads the same table for the gt walk's
+vectors, maps rank -> k;
 ``gt.embed`` reads the ranks that adding box n gives from the cover map,
 through ``gt.carry``, which moves the walk's exponent maps too.
 """

@@ -14,8 +14,9 @@ from altgt import cli, geodesics, gt, tableaux, verify, yor
 from altgt.cli import main
 from altgt.gt import gt_basis
 from altgt.labels import AltLabel, labels
-from altgt.partitions import partitions_of
+from altgt.partitions import Partition, partitions_of
 from altgt.scalars import I, Scalar
+from altgt.tableaux import syt_count
 from test_gt import recording
 from test_verify import column_flip
 
@@ -107,11 +108,16 @@ def test_recursions_at_the_box_limit_leave_stack_to_spare(capsys):
 
 
 _HUGE = "99999999999999999999"
+_STAIRCASE = ",".join(str(k) for k in range(19, 0, -1))
+# for each command, a shape just past its tableau ceiling
+_PAST_CEILING = {"syt": "4,4,4,2,1,1", "yor": "5,2,2,1,1", "assoc": "6,3,3,1,1,1",
+                 "paths": "4,4,4,2,1,1", "gt": "6,3,3,1,1,1^+"}
 _HUGE_ARGV = [
     *[[command, shape, *extra]
       for command, extra in [("syt", []), ("yor", ["--gen", "1"]), ("assoc", []),
                              ("paths", []), ("gt", [])]
-      for shape in (_HUGE, "201")],
+      for shape in (_HUGE, "201", _STAIRCASE + "^+" * (command in ("paths", "gt")),
+                    _PAST_CEILING[command])],
     *[[command, "--max-n", value]
       for command, ceiling in [("verify", cli.MAX_VERIFY_N), ("bratteli", cli.MAX_BRATTELI_N)]
       for value in (_HUGE, str(ceiling + 1))],
@@ -135,6 +141,12 @@ def test_huge_inputs_exit_2_under_a_memory_limit(argv):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     token = argv[-1] if argv[1] == "--max-n" else argv[1]
     assert token in proc.stderr
+
+
+def test_tableau_ceiling_admits_the_staircase_of_15():
+    # syt 5,4,3,2,1 lists 292,864 tableaux in 231 MB
+    shape = Partition((5, 4, 3, 2, 1))
+    assert shape.n ** 2 * syt_count(shape) <= cli.MAX_SYT_ENTRIES
 
 
 GOLDEN_DIGESTS = json.loads(Path(__file__).with_name("golden_digests.json").read_text())
