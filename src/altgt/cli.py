@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on unusable input or a shape past its command's tableau ceiling (a
-one-line diagnostic names the offending token).  A
-reader that closes stdout early, as `head` does, ends the run with exit 0.
+one-line diagnostic names the offending token).  A reader that closes
+stdout early, as `head` does, ends the run with exit 0.
 """
 
 from __future__ import annotations
