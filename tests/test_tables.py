@@ -2,16 +2,19 @@
 read cells off each tableau's rows."""
 
 from array import array
+from fractions import Fraction
 
 from altgt import associator, gt, yor
 from altgt.partitions import Partition, partitions_of, self_conjugate_partitions
-from altgt.scalars import I, ONE
+from altgt.scalars import I, I_POWERS, ONE, Scalar, sqrt_rational
 from altgt.tableaux import enumerate_syt, reference_tableau, syt_count, syt_ranks
 from oracles import (
     add_box,
     brute_force_cover_rows,
     canonical_terms,
     inversion_sign,
+    raw_product,
+    raw_terms,
     remove_largest,
     transpose,
     young_rule_image,
@@ -47,6 +50,46 @@ def test_generator_table_is_youngs_rule():
             for k, t in enumerate(basis):
                 expected = {u: canonical_terms(raw) for u, raw in young_rule_image(t, i).items()}
                 assert decoded(distances[k], partners[k], k, basis) == expected
+
+
+def gaussian_radical_sum(k: int) -> Scalar:
+    """(k+1 - k*i)*sqrt(k+2) + 1/(k+1) + i*sqrt(15): three radicands for most k."""
+    return (Scalar.gaussian(k + 1, -k) * sqrt_rational(k + 2)
+            + Scalar.rational(Fraction(1, k + 1)) + I * sqrt_rational(15))
+
+
+def test_scaled_entries_are_the_products_with_youngs_entries():
+    coefficients = [*I_POWERS, Scalar.rational(Fraction(-3, 7)),
+                    sqrt_rational(Fraction(5, 12)), gaussian_radical_sum(4)]
+    for r in (*range(-9, 0), *range(1, 10)):
+        diagonal = [(1, (Fraction(1, r), Fraction(0)))]
+        # sqrt(1 - 1/r^2) = sqrt(r^2 - 1)/|r|, and no term at all when r = +-1
+        mixing = [(r * r - 1, (Fraction(1, abs(r)), Fraction(0)))] if r * r > 1 else []
+        for c in coefficients:
+            got = yor._scaled_entries(c.terms(), r)
+            assert [x.terms() for x in got] == [
+                canonical_terms(raw_product(raw_terms(c), entry)) for entry in (diagonal, mixing)
+            ], (r, c)
+
+
+def test_act_simple_is_youngs_rule_on_multi_term_vectors():
+    for shape in (Partition((3, 2)), Partition((3, 2, 1))):
+        basis = enumerate_syt(shape)
+        vec = yor.GTVector(shape, {t: gaussian_radical_sum(k) for k, t in enumerate(basis)})
+        for i in range(1, shape.n):
+            raw = {}
+            for t, c in vec.items():
+                for u, entry in young_rule_image(t, i).items():
+                    raw.setdefault(u, []).extend(raw_product(raw_terms(c), entry))
+            expected = {u: canonical_terms(value) for u, value in raw.items()}
+            got = {t: c.terms() for t, c in yor.act_simple(i, vec).items()}
+            assert got == {u: terms for u, terms in expected.items() if terms}, (shape, i)
+
+
+def test_scaled_entries_memo_is_bounded():
+    # GTVector takes any coefficients, so an unbounded memo keyed on them
+    # would grow without limit
+    assert yor._scaled_entries.cache_info().maxsize is not None
 
 
 def test_phi_table_is_the_transpose_and_its_root():

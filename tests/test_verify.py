@@ -250,6 +250,44 @@ def test_fault_injection_braid(monkeypatch):
     ]
 
 
+# the memo functions themselves, so they can be cleared while _entries is patched
+YOUNG_MEMOS = (yor._entries, yor._scaled_entries)
+
+
+@pytest.fixture
+def young_entries(monkeypatch):
+    """Patch yor._entries through the returned function.  act_simple reads
+    Young's entries through two memos, so both are cleared when it patches,
+    or a warm memo hides the fault, and again at teardown, or a poisoned
+    entry leaks into later tests."""
+    def clear():
+        for memo in YOUNG_MEMOS:
+            memo.cache_clear()
+
+    def patch(entries):
+        clear()
+        monkeypatch.setattr(yor, "_entries", entries)
+
+    yield patch
+    monkeypatch.undo()
+    clear()
+
+
+def negated_mixing(r, _orig=yor._entries):
+    # s_2 on shape 2,1 is then neither real symmetric nor an involution
+    diagonal, mixing = _orig(r)
+    return (diagonal, -mixing) if r == 2 else (diagonal, mixing)
+
+
+def test_fault_injection_youngs_entry(young_entries):
+    assert verify_yor(4).ok  # the memos are warm for every shape to n = 4
+    young_entries(negated_mixing)
+    assert [(c.subject, c.witness) for c in verify_yor(4).failures()] == [
+        ("shape 2,1", "generator 2 is not real symmetric at entry (13/2, 12/3)"),
+        *ABOVE_2_1,
+    ]
+
+
 def test_fault_injection_symmetric(monkeypatch):
     monkeypatch.setattr(yor, "act_simple", skewed_mixing)
     assert [(c.subject, c.witness) for c in verify_yor(4).failures()] == [
