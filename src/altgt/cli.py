@@ -19,6 +19,7 @@ from .geodesics import class_size, geodesic_representatives
 from .gt import gt_basis
 from .labels import AltLabel, bratteli, young_graph
 from .partitions import Partition
+from .scalars import ZERO, Scalar
 from .tableaux import enumerate_syt, syt_count
 from .verify import Report, verify_associator, verify_gt_range, verify_yor
 from .yor import rep_matrix
@@ -28,13 +29,13 @@ MAX_VERIFY_N = 13
 MAX_BRATTELI_N = 30
 # Tableau ceilings, measured so that each admitted command runs in 400 MB of
 # address space.  enumerate_syt caches every level below a shape of n boxes,
-# each level at most syt_count(shape) tableaux of at most n entries, so syt
-# and paths are bounded on n^2 * syt_count(shape).  gt and assoc also keep a
-# vector or an output row per tableau, so their ceiling on the same product
-# is lower.  yor holds a dense matrix of dim^2 entries, dim = syt_count(shape).
+# each of at most syt_count(shape) tableaux of n entries, so syt, paths and
+# assoc are bounded on n^2 * syt_count(shape), and gt, which keeps more per
+# tableau, lower.  yor keeps O(dim) entries but prints dim^2 cells, dim =
+# syt_count(shape), so its ceiling bounds the output (dim 2,640: 70 MB).
 MAX_SYT_ENTRIES = 70_000_000
 MAX_GT_ENTRIES = 30_000_000
-MAX_YOR_DIM = 1_500
+MAX_YOR_DIM = 3_000
 
 
 def _check_max_n(max_n: int, ceiling: int) -> None:
@@ -43,24 +44,23 @@ def _check_max_n(max_n: int, ceiling: int) -> None:
 
 
 def _check_entries(shape: Partition, name, ceiling: int) -> None:
-    """Refuse the shape, named `name` in the message, when n^2 times its
-    tableau count is above the ceiling; nothing is walked."""
+    """Refuse the shape, named `name`, when n^2 times its tableau count is above the ceiling."""
     if shape.n ** 2 * syt_count(shape) > ceiling:
         raise ValueError(f"{name}: n^2 times the tableau count is above the ceiling {ceiling}")
 
 
-def _matrix_text(mat) -> str:
-    cells = [[str(x) for x in row] for row in mat]
-    widths = [max(len(cells[r][c]) for r in range(len(cells))) for c in range(len(cells[0]))]
-    lines = []
-    for row in cells:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+def _write_table(rows, widths) -> None:
+    """Print each row of cells left-justified to the column widths."""
+    for cells in rows:
+        sys.stdout.write("  ".join([c.ljust(w) for c, w in zip(cells, widths)]).rstrip() + "\n")
 
 
-def _matrix_latex(mat) -> str:
-    body = " \\\\\n".join(" & ".join(x.latex() for x in row) for row in mat)
-    return f"\\begin{{pmatrix}}\n{body}\n\\end{{pmatrix}}"
+def _write_json_list(items, indent: int = 0) -> None:
+    """Print json.dumps(list(items), indent=2) `indent` spaces deep, an item at a time."""
+    pad = "\n" + " " * (indent + 2)
+    sys.stdout.writelines(("," if k else "[") + pad + json.dumps(item, indent=2).replace("\n", pad)
+                          for k, item in enumerate(items))
+    sys.stdout.write("\n" + " " * indent + "]\n")
 
 
 def _cmd_syt(args) -> int:
@@ -76,41 +76,44 @@ def _cmd_yor(args) -> int:
     if syt_count(shape) > MAX_YOR_DIM:
         raise ValueError(f"{shape}: the dimension is above the ceiling {MAX_YOR_DIM}")
     if not 1 <= args.gen <= shape.n - 1:
-        raise ValueError(
-            f"generator {args.gen} out of range 1..{shape.n - 1} for shape {shape}"
-        )
-    mat = rep_matrix(shape, args.gen)
+        raise ValueError(f"generator {args.gen} out of range 1..{shape.n - 1} for shape {shape}")
+    rows, out = rep_matrix(shape, args.gen), sys.stdout
+    render = {"json": Scalar.to_json, "latex": Scalar.latex, "text": str}[args.format]
+    zero, columns = render(ZERO), range(len(rows))
+    dense = ([render(row[c]) if c in row else zero for c in columns] for row in rows)
     if args.format == "json":
-        payload = {
-            "shape": shape.to_json(),
-            "generator": args.gen,
-            "basis": [t.to_json() for t in enumerate_syt(shape)],
-            "rows": [[x.to_json() for x in row] for row in mat],
-        }
-        print(json.dumps(payload, indent=2))
+        header = {"shape": shape.to_json(), "generator": args.gen,
+                  "basis": [t.to_json() for t in enumerate_syt(shape)]}
+        out.write(json.dumps(header, indent=2).removesuffix("\n}") + ',\n  "rows": ')
+        _write_json_list(dense, 2)
+        out.write("}\n")
     elif args.format == "latex":
-        print(_matrix_latex(mat))
+        out.write("\\begin{pmatrix}\n" + " & ".join(next(dense)))
+        out.writelines(" \\\\\n" + " & ".join(cells) for cells in dense)
+        out.write("\n\\end{pmatrix}\n")
     else:
-        print(_matrix_text(mat))
+        widths = [1] * len(rows)  # len("0"); a column with no 0 (dim <= 2) has none narrower
+        for row in rows:
+            for c, x in row.items():
+                widths[c] = max(widths[c], len(str(x)))
+        _write_table(dense, widths)
     return 0
 
 
 def _cmd_assoc(args) -> int:
     shape = Partition.parse(args.shape)
-    _check_entries(shape, shape, MAX_GT_ENTRIES)
+    _check_entries(shape, shape, MAX_SYT_ENTRIES)
     if not shape.is_self_conjugate():
         raise ValueError(f"shape {shape} is not self-conjugate")
-    rows = [(t, assoc_coeff(t), t.conjugate()) for t in enumerate_syt(shape)]
+    basis = enumerate_syt(shape)
+    coeffs = [assoc_coeff(t) for t in basis]
     if args.format == "json":
-        # json.dumps(payload, indent=2) of the list of rows, a row at a time
-        write, sep = sys.stdout.write, "[\n  "
-        for t, c, tc in rows:
-            row = {"tableau": t.to_json(), "coeff": c.to_json(), "conjugate": tc.to_json()}
-            write(sep + json.dumps(row, indent=2).replace("\n", "\n  "))
-            sep = ",\n  "
-        write("\n]\n")
+        _write_json_list({"tableau": t.to_json(), "coeff": c.to_json(),
+                          "conjugate": t.conjugate().to_json()} for t, c in zip(basis, coeffs))
     else:
-        print(_matrix_text(rows))
+        width = len(str(basis[0]))  # that of every tableau of the shape, t' among them
+        widths = (width, max(len(str(c)) for c in set(coeffs)), width)
+        _write_table(([str(t), str(c), str(t.conjugate())] for t, c in zip(basis, coeffs)), widths)
     return 0
 
 

@@ -43,9 +43,7 @@ class AltPath:
             raise ValueError("a path needs at least the level-2 label")
         for k, label in enumerate(path_labels):
             if label.n != k + 2:
-                raise ValueError(
-                    f"label {label} at position {k} should have size {k + 2}"
-                )
+                raise ValueError(f"label {label} at position {k} should have size {k + 2}")
         for below, above in zip(path_labels, path_labels[1:]):
             if below not in dagger_down_set(above):
                 raise ValueError(f"{below} does not branch from {above}")

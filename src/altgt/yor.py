@@ -7,8 +7,8 @@ i and i+1 and r is the axial distance from i to i+1 in T; r is 1 or -1 when
 they share a row or a column of T, and then the mixing term is zero.
 
 Maps are applied to vectors; rep_matrix is the one place a map becomes a
-matrix, a list of rows whose columns follow the enumeration order of the
-tableaux.
+matrix, a list of rows, each a dict from column to nonzero entry, in the
+enumeration order of the tableaux: at most two entries per column.
 
 Inside the library a vector maps the rank of each tableau, its index in
 ``enumerate_syt(shape)`` (row-word order), to its coefficient.  Tableaux
@@ -264,11 +264,10 @@ def act_word(word, vec: GTVector) -> GTVector:
     return vec
 
 
-def rep_matrix(shape: Partition, i: int) -> list[list[Scalar]]:
-    """Matrix of the transposition (i, i+1); column j is the image of basis j."""
-    dim = len(enumerate_syt(shape))
-    mat = [[ZERO] * dim for _ in range(dim)]
-    for col in range(dim):
+def rep_matrix(shape: Partition, i: int) -> list[dict[int, Scalar]]:
+    """Matrix of (i, i+1) as sparse rows, column -> nonzero entry; column j is s_i e_j."""
+    rows: list[dict[int, Scalar]] = [{} for _ in enumerate_syt(shape)]
+    for col in range(len(rows)):
         for row, c in act_simple(i, GTVector._trusted(shape, {col: ONE}))._terms.items():
-            mat[row][col] = c
-    return mat
+            rows[row][col] = c
+    return rows

@@ -8,18 +8,19 @@ per-shape tables of the library are checked against rules that read cells
 off `StandardTableau.rows`.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import isqrt, lcm
 
 from altgt import AltLabel, AltPath, Partition, StandardTableau
-from altgt.associator import apply_phi
+from altgt.associator import apply_phi, assoc_coeff
 from altgt.gt import embed
 from altgt.labels import dagger_down_set, labels
-from altgt.scalars import Scalar
+from altgt.scalars import ZERO, Scalar
 from altgt.tableaux import append_box, enumerate_syt, syt_ranks
-from altgt.yor import GTVector
+from altgt.yor import GTVector, act_simple
 
 
 def brute_force_syt(shape: Partition) -> set[StandardTableau]:
@@ -248,6 +249,62 @@ def scalar_walk(path: AltPath) -> GTVector:
             mirrored = apply_phi(vec)
             vec = vec + mirrored if head.sign == 1 else vec - mirrored
     return vec
+
+
+# The dense matrix path the yor and assoc commands took before they printed
+# sparse rows a row at a time, kept as the reference for their output.  Like
+# scalar_walk it uses the library's maps; only the writers are under test.
+
+
+def dense_rep_matrix(shape: Partition, i: int) -> list[list[Scalar]]:
+    """The matrix of (i, i+1) as dim lists of dim entries, zeros included;
+    column j is act_simple of the basis vector of tableau j."""
+    basis, rank = enumerate_syt(shape), syt_ranks(shape)
+    mat = [[ZERO] * len(basis) for _ in basis]
+    for col, t in enumerate(basis):
+        for u, c in act_simple(i, GTVector.basis(t)).items():
+            mat[rank[u]][col] = c
+    return mat
+
+
+def matrix_text(mat) -> str:
+    """Every cell's text, left-justified to its column's widest, two spaces
+    apart, trailing spaces stripped."""
+    cells = [[str(x) for x in row] for row in mat]
+    widths = [max(len(cells[r][c]) for r in range(len(cells))) for c in range(len(cells[0]))]
+    lines = []
+    for row in cells:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)
+
+
+def matrix_latex(mat) -> str:
+    body = " \\\\\n".join(" & ".join(x.latex() for x in row) for row in mat)
+    return f"\\begin{{pmatrix}}\n{body}\n\\end{{pmatrix}}"
+
+
+def dense_yor_output(shape: Partition, i: int, fmt: str) -> str:
+    """The stdout of `yor shape --gen i --format fmt`, built whole."""
+    mat = dense_rep_matrix(shape, i)
+    if fmt == "json":
+        payload = {
+            "shape": shape.to_json(),
+            "generator": i,
+            "basis": [t.to_json() for t in enumerate_syt(shape)],
+            "rows": [[x.to_json() for x in row] for row in mat],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    return (matrix_latex(mat) if fmt == "latex" else matrix_text(mat)) + "\n"
+
+
+def dense_assoc_output(shape: Partition, fmt: str) -> str:
+    """The stdout of `assoc shape --format fmt`, built whole."""
+    rows = [(t, assoc_coeff(t), t.conjugate()) for t in enumerate_syt(shape)]
+    if fmt == "json":
+        payload = [{"tableau": t.to_json(), "coeff": c.to_json(), "conjugate": tc.to_json()}
+                   for t, c, tc in rows]
+        return json.dumps(payload, indent=2) + "\n"
+    return matrix_text(rows) + "\n"
 
 
 # The scalar ring, without altgt.scalars arithmetic.  A raw value is a list

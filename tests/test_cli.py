@@ -17,6 +17,7 @@ from altgt.labels import AltLabel, labels
 from altgt.partitions import Partition, partitions_of
 from altgt.scalars import I, Scalar
 from altgt.tableaux import syt_count
+import oracles
 from test_gt import recording
 from test_verify import column_flip
 
@@ -110,7 +111,7 @@ def test_recursions_at_the_box_limit_leave_stack_to_spare(capsys):
 _HUGE = "99999999999999999999"
 _STAIRCASE = ",".join(str(k) for k in range(19, 0, -1))
 # for each command, a shape just past its tableau ceiling
-_PAST_CEILING = {"syt": "4,4,4,2,1,1", "yor": "5,2,2,1,1", "assoc": "6,3,3,1,1,1",
+_PAST_CEILING = {"syt": "4,4,4,2,1,1", "yor": "8,2,1,1,1", "assoc": "11,1,1,1,1,1,1,1,1,1,1",
                  "paths": "4,4,4,2,1,1", "gt": "6,3,3,1,1,1^+"}
 _HUGE_ARGV = [
     *[[command, shape, *extra]
@@ -124,20 +125,25 @@ _HUGE_ARGV = [
 ]
 
 
+def _run_limited(argv, megabytes, timeout):
+    """Run the CLI in a child limited to `megabytes` of address space."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "altgt.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, preexec_fn=limit_memory,
+        env=_python_env(),
+    )
+
+
 @pytest.mark.parametrize("argv", _HUGE_ARGV, ids="-".join)
 def test_huge_inputs_exit_2_under_a_memory_limit(argv):
     # each in a child limited to 400 MB of address space, so a walk that
     # starts anyway fails or times out instead of taking the machine's memory
-    resource = pytest.importorskip("resource")
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "altgt.cli", *argv],
-        capture_output=True, text=True, timeout=10, preexec_fn=limit_memory,
-        env=_python_env(),
-    )
+    proc = _run_limited(argv, 400, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     token = argv[-1] if argv[1] == "--max-n" else argv[1]
     assert token in proc.stderr
@@ -147,6 +153,39 @@ def test_tableau_ceiling_admits_the_staircase_of_15():
     # syt 5,4,3,2,1 lists 292,864 tableaux in 231 MB
     shape = Partition((5, 4, 3, 2, 1))
     assert shape.n ** 2 * syt_count(shape) <= cli.MAX_SYT_ENTRIES
+
+
+def test_yor_ceiling_admits_dimensions_2079_and_2640():
+    # with --gen 1 and --gen 5, their JSON (44 MB and 71 MB) prints in under
+    # 25 MB of memory and 5 s on a 2-vCPU machine
+    for shape, dim in [((7, 2, 2, 1), 2079), ((4, 4, 2, 2), 2640)]:
+        assert syt_count(Partition(shape)) == dim <= cli.MAX_YOR_DIM
+
+
+def test_yor_json_streams_under_a_memory_limit():
+    # dim 990: one json.dumps of the dense payload ran out of 100 MB; written
+    # a row at a time it gives the same 10,153,462 bytes, the sha256 of
+    # oracles.dense_yor_output(Partition((5, 4, 2)), 5, "json")
+    proc = _run_limited(["yor", "5,4,2", "--gen", "5", "--format", "json"], 100, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "125ba759a3b11914c102ad372154d6b04b2ea92710f96fcb3b1b66df0ee398ce")
+
+
+def test_yor_and_assoc_match_the_dense_writers(capsys):
+    # the row-at-a-time writers against the whole-matrix references
+    for n in range(2, 7):
+        for shape in partitions_of(n):
+            for i in range(1, n):
+                for fmt in ("text", "latex", "json"):
+                    want = oracles.dense_yor_output(shape, i, fmt)
+                    got = run_cli(capsys, "yor", str(shape), "--gen", str(i), "--format", fmt)
+                    assert got == (0, want, ""), (shape, i, fmt)
+    for n in range(1, 10):
+        for shape in filter(Partition.is_self_conjugate, partitions_of(n)):
+            for fmt in ("text", "json"):
+                want = oracles.dense_assoc_output(shape, fmt)
+                assert run_cli(capsys, "assoc", str(shape), "--format", fmt) == (0, want, ""), shape
 
 
 GOLDEN_DIGESTS = json.loads(Path(__file__).with_name("golden_digests.json").read_text())

@@ -4,10 +4,11 @@ import pytest
 
 from altgt.associator import apply_phi
 from altgt.partitions import Partition, partitions_of
-from altgt.scalars import I, ONE, Scalar, sqrt_rational
+from altgt.scalars import I, ONE, ZERO, Scalar, sqrt_rational
 from altgt.tableaux import StandardTableau, enumerate_syt
 from altgt.yor import GTVector, act_simple, act_word, rep_matrix
 from altgt.gt import embed
+from oracles import dense_rep_matrix
 
 
 def vec(text):
@@ -116,16 +117,23 @@ def test_mixing_case():
 
 
 def test_rep_matrix_values():
-    one_row = rep_matrix(Partition((3,)), 2)
-    assert one_row == [[ONE]]
-    column = rep_matrix(Partition((1, 1, 1)), 1)
-    assert column == [[-ONE]]
+    # sparse rows: row r maps each column with a nonzero entry to it
+    assert rep_matrix(Partition((3,)), 2) == [{0: ONE}]
+    assert rep_matrix(Partition((1, 1, 1)), 1) == [{0: -ONE}]
     m = rep_matrix(Partition((2, 1)), 2)
     s = sqrt_rational(Fraction(3, 4))
     assert m == [
-        [Scalar.rational(Fraction(-1, 2)), s],
-        [s, Scalar.rational(Fraction(1, 2))],
+        {0: Scalar.rational(Fraction(-1, 2)), 1: s},
+        {0: s, 1: Scalar.rational(Fraction(1, 2))},
     ]
+    # densified, the rows are the dense oracle's, and no zero is stored
+    for n in range(2, 7):
+        for shape in partitions_of(n):
+            for i in range(1, n):
+                rows = rep_matrix(shape, i)
+                assert all(not x.is_zero() for row in rows for x in row.values())
+                dense = [[row.get(c, ZERO) for c in range(len(rows))] for row in rows]
+                assert dense == dense_rep_matrix(shape, i)
 
 
 def test_act_word_order_and_identity():
@@ -189,7 +197,7 @@ def test_identities_against_sympy():
     for n in range(2, 7):
         for shape in partitions_of(n):
             mats = {
-                i: sympy.Matrix([[entry(x) for x in row] for row in rep_matrix(shape, i)])
+                i: sympy.Matrix([[entry(x) for x in row] for row in dense_rep_matrix(shape, i)])
                 for i in range(1, n)
             }
             ident = sympy.eye(len(enumerate_syt(shape)))
