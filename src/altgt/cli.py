@@ -55,12 +55,18 @@ def _write_table(rows, widths) -> None:
         sys.stdout.write("  ".join([c.ljust(w) for c, w in zip(cells, widths)]).rstrip() + "\n")
 
 
-def _write_json_list(items, indent: int = 0) -> None:
-    """Print json.dumps(list(items), indent=2) `indent` spaces deep, an item at a time."""
+def _write_json_list(fragments, indent: int = 0) -> None:
+    """Print a JSON list `indent` spaces deep, one item at a time, in the
+    json.dumps(..., indent=2) layout; each fragment is an item's JSON text,
+    already `indent + 2` spaces deep."""
     pad = "\n" + " " * (indent + 2)
-    sys.stdout.writelines(("," if k else "[") + pad + json.dumps(item, indent=2).replace("\n", pad)
-                          for k, item in enumerate(items))
+    sys.stdout.writelines(("," if k else "[") + pad + fragment for k, fragment in enumerate(fragments))
     sys.stdout.write("\n" + " " * indent + "]\n")
+
+
+def _nested(obj, indent: int) -> str:
+    """json.dumps(obj, indent=2) `indent` spaces deep."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + " " * indent)
 
 
 def _cmd_syt(args) -> int:
@@ -77,15 +83,16 @@ def _cmd_yor(args) -> int:
         raise ValueError(f"{shape}: the dimension is above the ceiling {MAX_YOR_DIM}")
     if not 1 <= args.gen <= shape.n - 1:
         raise ValueError(f"generator {args.gen} out of range 1..{shape.n - 1} for shape {shape}")
-    rows, out = rep_matrix(shape, args.gen), sys.stdout
-    render = {"json": Scalar.to_json, "latex": Scalar.latex, "text": str}[args.format]
+    rows, out, cells = rep_matrix(shape, args.gen), sys.stdout, {}
+    # each distinct entry rendered once; JSON cells sit 6 spaces deep, in a row of the rows list
+    render = {"json": lambda x: _nested_json(cells, x, 6), "latex": Scalar.latex, "text": str}[args.format]
     zero, columns = render(ZERO), range(len(rows))
     dense = ([render(row[c]) if c in row else zero for c in columns] for row in rows)
     if args.format == "json":
         header = {"shape": shape.to_json(), "generator": args.gen,
                   "basis": [t.to_json() for t in enumerate_syt(shape)]}
         out.write(json.dumps(header, indent=2).removesuffix("\n}") + ',\n  "rows": ')
-        _write_json_list(dense, 2)
+        _write_json_list(("[\n      " + ",\n      ".join(row) + "\n    ]" for row in dense), 2)
         out.write("}\n")
     elif args.format == "latex":
         out.write("\\begin{pmatrix}\n" + " & ".join(next(dense)))
@@ -108,8 +115,9 @@ def _cmd_assoc(args) -> int:
     basis = enumerate_syt(shape)
     coeffs = [assoc_coeff(t) for t in basis]
     if args.format == "json":
-        _write_json_list({"tableau": t.to_json(), "coeff": c.to_json(),
-                          "conjugate": t.conjugate().to_json()} for t, c in zip(basis, coeffs))
+        _write_json_list(_nested({"tableau": t.to_json(), "coeff": c.to_json(),
+                                  "conjugate": t.conjugate().to_json()}, 2)
+                         for t, c in zip(basis, coeffs))
     else:
         width = len(str(basis[0]))  # that of every tableau of the shape, t' among them
         widths = (width, max(len(str(c)) for c in set(coeffs)), width)
@@ -155,20 +163,21 @@ def _nested_json(memo: dict, obj, indent: int) -> str:
     """json.dumps(obj.to_json(), indent=2) `indent` spaces deep, once per object."""
     text = memo.get(obj)
     if text is None:
-        text = memo[obj] = json.dumps(obj.to_json(), indent=2).replace("\n", "\n" + " " * indent)
+        text = memo[obj] = _nested(obj.to_json(), indent)
     return text
 
 
 def _write_gt_json(basis) -> None:
-    """Print json.dumps(payload, indent=2) of the gt payload a vector at a time."""
-    labels, tableaux, coeffs, write = {}, {}, {}, sys.stdout.write
+    """Print json.dumps(payload, indent=2) of the gt payload a vector at a
+    time; the tableaux come from the shape's memo, 8 spaces deep."""
+    labels, coeffs, write = {}, {}, sys.stdout.write
     sep = "[\n"
     for path, vector in basis:
         path_json = ",\n      ".join([_nested_json(labels, lb, 6) for lb in path])
         terms_json = ",\n      ".join([
-            f'{{\n        "tableau": {_nested_json(tableaux, t, 8)},'
+            f'{{\n        "tableau": {t},'
             f'\n        "coeff": {_nested_json(coeffs, c, 8)}\n      }}'
-            for t, c in vector.items()
+            for t, c in vector.rendered_terms("json")
         ])
         write(f'{sep}  {{\n    "path": [\n      {path_json}\n    ],'
               f'\n    "terms": [\n      {terms_json}\n    ]\n  }}')

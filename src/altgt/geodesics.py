@@ -129,6 +129,14 @@ def _run_starts(path: AltPath) -> list[int]:
                   if labels[k - 1].is_signed() and not labels[k].is_signed()]
 
 
+def _last_run_start(labels: tuple[AltLabel, ...]) -> int:
+    """The last item of _run_starts, read back from the end of the labels."""
+    k = len(labels) - 1
+    while k and not (labels[k - 1].is_signed() and not labels[k].is_signed()):
+        k -= 1
+    return k
+
+
 def class_members(path: AltPath) -> tuple[AltPath, ...]:
     """The members of the path's class that end at its endpoint, sorted:
     each block from one run start to the next is kept or, if a signed label
@@ -163,7 +171,7 @@ def geodesic_representatives(label: AltLabel) -> tuple[AltPath, ...]:
         closes_run = label.is_signed() and not below.is_signed()
         for shorter in geodesic_representatives(below):
             if closes_run:
-                start = shorter.labels[_run_starts(shorter)[-1]]
+                start = shorter.labels[_last_run_start(shorter.labels)]
                 if canonical_label(start) != start:
                     continue
             found.append(AltPath._trusted(shorter.labels + (label,)))

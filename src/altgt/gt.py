@@ -22,7 +22,8 @@ as its path arrives and keeps only the prefixes of the last path, so paths
 that come sorted build each shared prefix once.  `gt_vector` and `gt_basis`
 turn the exponents into the shared unit scalars `I_POWERS`.  A GT vector is
 fixed only up to a scalar, so normalization is left to `gt_basis`, where it
-only divides by the square root of the number of terms.
+only divides by the square root of the number of terms m: the four units
+i^k / sqrt(m) are computed once per m and shared by every vector of m terms.
 """
 
 from __future__ import annotations
@@ -126,12 +127,14 @@ def gt_basis(label: AltLabel, normalize: bool = False) -> Iterator[tuple[AltPath
     shape = label.partition
 
     def vectors():
-        units = I_POWERS
+        units, by_count = I_POWERS, {}
         for terms in gt_vectors(paths):
             if normalize:
-                # the four values i^k / sqrt(m) for a vector of m terms
-                root = sqrt_rational(len(terms)).inverse()
-                units = tuple(root * unit for unit in I_POWERS)
+                # the four values i^k / sqrt(m) for a vector of m terms, once per m
+                units = by_count.get(len(terms))
+                if units is None:
+                    root = sqrt_rational(len(terms)).inverse()
+                    units = by_count[len(terms)] = tuple(root * unit for unit in I_POWERS)
             yield _as_vector(shape, terms, units)
 
     return zip(paths, vectors())

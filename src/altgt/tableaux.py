@@ -158,6 +158,14 @@ class StandardTableau:
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
+    def json_text(self, indent: int = 0) -> str:
+        """json.dumps(self.to_json(), indent=2) with `indent` more spaces after
+        each newline, written directly: no row of a tableau is empty."""
+        row_pad, entry_pad = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
+        sep = "," + entry_pad
+        rows = [f"{row_pad}[{entry_pad}{sep.join(map(str, row))}{row_pad}]" for row in self.rows]
+        return "[" + ",".join(rows) + "\n" + " " * indent + "]"
+
     def latex(self) -> str:
         """Subscript form used in basis-vector notation: rows joined by commas."""
         return self.joined(",", "\\," if self.n > 9 else "")
@@ -180,7 +188,9 @@ def enumerate_syt(shape: Partition) -> tuple[StandardTableau, ...]:
         for below in shape.down_set()
         for small in enumerate_syt(below)
     ]
-    found.sort(key=StandardTableau.row_word)
+    # the row word as bytes sorts alike, since a partition has at most 200 boxes,
+    # and takes a third of the tuple's memory, most of what the sort holds
+    found.sort(key=lambda t: bytes(t.row_word()))
     return tuple(found)
 
 

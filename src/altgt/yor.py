@@ -39,6 +39,10 @@ through ``gt.carry``, which moves the walk's exponent maps too.
 ``_scaled_entries``, a memo on (c.terms(), r) whose values are shared, as no
 Scalar is mutated.  An audit meets few pairs, about 1,300 to n = 11, but the
 memo is bounded, at 4096, because ``GTVector`` takes any coefficients.
+Printing reads each tableau's text, LaTeX or JSON from ``_tableau_memo``, a
+list over the ranks of one shape filled as vectors ask for it, so a basis
+renders each tableau once and one vector only its own; the last 8 (shape,
+style) pairs are kept.
 """
 
 from __future__ import annotations
@@ -161,10 +165,24 @@ class GTVector:
             return NotImplemented
         return self._shape == other._shape and self._terms == other._terms
 
+    def rendered_terms(self, style: str) -> list[tuple[str, Scalar]]:
+        """The terms in rank order as (tableau text, coefficient), the tableau
+        written in one of the ``_TABLEAU_STYLES``.  Each tableau is rendered
+        the first time any vector of its shape asks for it in that style."""
+        memo, terms = _tableau_memo(self._shape, style), self._terms
+        basis, render = enumerate_syt(self._shape), _TABLEAU_STYLES[style]
+        out = []
+        for r in sorted(terms):
+            text = memo[r]
+            if text is None:
+                text = memo[r] = render(basis[r])
+            out.append((text, terms[r]))
+        return out
+
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"({c})*v[{t}]" for t, c in self.items())
+        return " + ".join([f"({c})*v[{t}]" for t, c in self.rendered_terms("text")])
 
     def latex(self) -> str:
         """The vector as c v_{T} + ..., with a fourth root of unity written as
@@ -172,17 +190,29 @@ class GTVector:
         if not self._terms:
             return "0"
         terms = []
-        for t, c in self.items():
+        for t, c in self.rendered_terms("latex"):
             coeff = _UNIT_LATEX.get(c.terms())
             if coeff is None:
                 coeff = c.latex()
                 if "+" in coeff[1:] or "-" in coeff[1:]:
                     coeff = f"\\left({coeff}\\right)"
-            terms.append(f"{coeff}v_{{{t.latex()}}}")
+            terms.append(f"{coeff}v_{{{t}}}")
         return " + ".join(terms)
 
     def __repr__(self) -> str:
         return f"GTVector({self._shape!r}, {dict(self.items())!r})"
+
+
+# how rendered_terms writes a tableau: as text, as a LaTeX subscript, and as
+# JSON 8 spaces deep, where `gt --format json` puts the tableau of a term
+_TABLEAU_STYLES = {"text": str, "latex": lambda t: t.latex(), "json": lambda t: t.json_text(8)}
+
+
+@lru_cache(maxsize=8)
+def _tableau_memo(shape: Partition, style: str) -> list:
+    """The text of each tableau of a shape in one style, by rank, None until
+    rendered_terms first reads it; a few (shape, style) pairs are kept."""
+    return [None] * len(enumerate_syt(shape))
 
 
 def _accumulate(terms: dict, rank: int, coeff: Scalar) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from altgt.gt import gt_basis
 from altgt.labels import AltLabel, labels
 from altgt.partitions import Partition, partitions_of
 from altgt.scalars import I, Scalar
-from altgt.tableaux import syt_count
+from altgt.tableaux import StandardTableau, syt_count
 import oracles
 from test_gt import recording
 from test_verify import column_flip
@@ -396,6 +397,34 @@ def test_gt_writes_once_the_first_vector_is_built(monkeypatch, fmt):
     with contextlib.redirect_stdout(Recorder()):
         assert main(["gt", "4,1,1", "--format", fmt]) == 0
     assert (at_first_write, len(built)) == ([1], 10)
+
+
+def counting_renders(monkeypatch) -> Counter:
+    """Count each call of a tableau's __str__, latex and rows, by (method, tableau)."""
+    counts = Counter()
+
+    def counted(method, render):
+        def wrapper(t, *args):
+            counts[method, t] += 1
+            return render(t, *args)
+        return wrapper
+
+    monkeypatch.setattr(StandardTableau, "__str__", counted("str", StandardTableau.__str__))
+    monkeypatch.setattr(StandardTableau, "latex", counted("latex", StandardTableau.latex))
+    monkeypatch.setattr(StandardTableau, "rows", property(counted("rows", StandardTableau.rows.fget)))
+    return counts
+
+
+@pytest.mark.parametrize("fmt, method", [("text", "str"), ("latex", "latex"), ("json", "rows")])
+def test_gt_renders_each_tableau_once(capsys, monkeypatch, fmt, method):
+    # the tableau memo is shared by the vectors of a shape, so each tableau
+    # in the basis is rendered once, in its format's style only
+    label = AltLabel.parse("4,3,2")
+    support = {t for _, v in gt_basis(label) for t in v.support()}
+    yor._tableau_memo.cache_clear()
+    counts = counting_renders(monkeypatch)
+    assert run_cli(capsys, "gt", str(label), "--format", fmt)[0] == 0
+    assert counts == Counter({(method, t): 1 for t in support})
 
 
 def test_gt_rejects_missing_sign(capsys):

@@ -232,16 +232,15 @@ def test_first_of_class_filter_catches_a_rule_on_run_ends(monkeypatch):
     # testing the last label of each closed run instead of its first still
     # keeps one member per class, so only the representative oracles and
     # the golden digests see it; it first picks another member at n = 10
-    def run_ends(p):
-        path_labels = p.labels
+    def last_run_end(path_labels):
         return [
             k for k, below in enumerate(path_labels)
             if not below.is_signed()
             and (k + 1 == len(path_labels) or path_labels[k + 1].is_signed())
-        ]
+        ][-1]
 
     geodesics.geodesic_representatives.cache_clear()
-    monkeypatch.setattr(geodesics, "_run_starts", run_ends)
+    monkeypatch.setattr(geodesics, "_last_run_start", last_run_end)
     try:
         mismatched = first_of_class_mismatches(10)
         assert [str(label) for label in mismatched] == ["4,3,2,1^+", "4,3,2,1^-"]
@@ -249,6 +248,13 @@ def test_first_of_class_filter_catches_a_rule_on_run_ends(monkeypatch):
             assert len(geodesic_representatives(label)) == dim_alt(label)
     finally:
         geodesics.geodesic_representatives.cache_clear()
+
+
+def test_last_run_start_reads_the_last_run_start():
+    for n in range(2, 9):
+        for label in labels(n):
+            for p in enumerate_paths(label):
+                assert geodesics._last_run_start(p.labels) == geodesics._run_starts(p)[-1]
 
 
 def test_class_members_match_product_filter():

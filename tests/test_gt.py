@@ -160,6 +160,22 @@ def test_walk_yields_exponents_and_basis_shares_units():
                 assert all(any(c is unit for unit in I_POWERS) for c in u._terms.values())
 
 
+def test_normalizing_units_once_per_term_count(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return sqrt_rational(value)
+
+    monkeypatch.setattr(gt, "sqrt_rational", counted)
+    for text in ("4,3,2", "4,3,2,1^+", "3,3,1,1"):
+        calls.clear()
+        basis = tuple(gt_basis(AltLabel.parse(text), normalize=True))
+        counts = {len(u._terms) for _, u in basis}
+        assert len(counts) > 2
+        assert sorted(calls) == sorted(counts), text
+
+
 def test_walk_matches_scalar_arithmetic():
     # the exponent walk against the construction in Scalar arithmetic
     for n in range(2, 9):

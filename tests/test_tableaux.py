@@ -1,3 +1,4 @@
+import json
 from math import comb
 
 import pytest
@@ -92,6 +93,15 @@ def test_enumeration_is_sorted_by_row_word():
     for shape in partitions_of(5):
         words = [t.row_word() for t in enumerate_syt(shape)]
         assert words == sorted(words)
+
+
+def test_json_text_is_the_reindented_json_dump():
+    for n in range(1, 9):
+        for shape in partitions_of(n):
+            for t in enumerate_syt(shape):
+                for indent in (0, 8):
+                    pad = "\n" + " " * indent
+                    assert t.json_text(indent) == json.dumps(t.to_json(), indent=2).replace("\n", pad)
 
 
 def test_syt_count_against_enumeration():

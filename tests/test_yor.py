@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,10 @@ from altgt.partitions import Partition, partitions_of
 from altgt.scalars import I, ONE, ZERO, Scalar, sqrt_rational
 from altgt.tableaux import StandardTableau, enumerate_syt
 from altgt.yor import GTVector, act_simple, act_word, rep_matrix
-from altgt.gt import embed
+from altgt import yor
+from altgt.geodesics import geodesic_representatives
+from altgt.gt import embed, gt_vector
+from altgt.labels import AltLabel
 from oracles import dense_rep_matrix
 
 
@@ -88,6 +92,28 @@ def test_vector_latex():
         " + \\left(1 + \\sqrt{2}\\right)v_{134,2}"
     )
     assert GTVector.zero(shape).latex() == "0"
+
+
+def test_one_vector_renders_only_its_terms(monkeypatch):
+    # the tableau memo is filled lazily: printing one vector of an n = 12
+    # shape renders its own tableaux and none of the others
+    v = gt_vector(geodesic_representatives(AltLabel.parse("5,4,2,1"))[2000])
+    rendered = []
+
+    def counted(t):
+        rendered.append(t)
+        return StandardTableau.joined(t, "/", " ")
+
+    yor._tableau_memo.cache_clear()
+    monkeypatch.setattr(StandardTableau, "__str__", counted)
+    text = str(v)
+    assert len(v.support()) > 1 and Counter(rendered) == Counter(v.support())
+    assert text == " + ".join(f"({c})*v[{t.joined('/', ' ')}]" for t, c in v.items())
+    assert str(v) == text and len(rendered) == len(v.support())
+
+
+def test_tableau_memo_is_bounded():
+    assert yor._tableau_memo.cache_info().maxsize is not None
 
 
 def test_same_row_fixes():
