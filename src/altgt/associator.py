@@ -31,13 +31,19 @@ from .yor import GTVector
 def assoc_coeff(tableau: StandardTableau) -> Scalar:
     """The fourth root of unity attached to one tableau."""
     shape = tableau.shape
+    # the sign is 1 = i^0 or -1 = i^2
+    return I_POWERS[(_half_offdiagonal(shape) + 1 - permutation_sign(tableau, shape)) % 4]
+
+
+@lru_cache(maxsize=None)
+def _half_offdiagonal(shape: Partition) -> int:
+    """(n - d)/2 for a self-conjugate shape of n boxes, d of them diagonal."""
     if not shape.is_self_conjugate():
         raise ValueError(f"{shape} is not self-conjugate")
     n, d = shape.n, shape.diagonal_length()
     if (n - d) % 2:
         raise RuntimeError(f"n - d is odd for the self-conjugate shape {shape}")
-    # the sign is 1 = i^0 or -1 = i^2
-    return I_POWERS[((n - d) // 2 + 1 - permutation_sign(tableau)) % 4]
+    return (n - d) // 2
 
 
 @lru_cache(maxsize=None)

@@ -26,8 +26,9 @@ from operator import is_
 from .labels import AltLabel, canonical_label, conjugate_label, dagger_down_set
 
 
-class AltPath:
-    """A branching path: one label per level from 2 up to its endpoint.
+class AltPath(tuple):
+    """A branching path: one label per level from 2 up to its endpoint.  A
+    path is the tuple of its labels, so it equals and hashes like it.
 
     The constructor and `parse` check every level and every link.  The paths
     this module builds, from checked links in `enumerate_paths` and
@@ -35,68 +36,50 @@ class AltPath:
     `class_members`, come from `_trusted`, which checks nothing.
     """
 
-    __slots__ = ("_labels",)
+    __slots__ = ()
 
     def __init__(self, path_labels):
-        path_labels = tuple(path_labels)
-        if not path_labels:
+        if not self:
             raise ValueError("a path needs at least the level-2 label")
-        for k, label in enumerate(path_labels):
+        for k, label in enumerate(self):
             if label.n != k + 2:
                 raise ValueError(f"label {label} at position {k} should have size {k + 2}")
-        for below, above in zip(path_labels, path_labels[1:]):
+        for below, above in zip(self, self[1:]):
             if below not in dagger_down_set(above):
                 raise ValueError(f"{below} does not branch from {above}")
-        self._labels = path_labels
 
     @classmethod
     def _trusted(cls, path_labels: tuple[AltLabel, ...]) -> "AltPath":
         """A path from a tuple of labels whose every link is known to branch."""
-        path = object.__new__(cls)
-        path._labels = path_labels
-        return path
+        return tuple.__new__(cls, path_labels)
 
     @classmethod
     def parse(cls, text: str) -> "AltPath":
         return cls(tuple(AltLabel.parse(c) for c in text.split(";")))
 
     @property
-    def labels(self) -> tuple[AltLabel, ...]:
-        return self._labels
+    def labels(self) -> "AltPath":
+        return self
 
     @property
     def endpoint(self) -> AltLabel:
-        return self._labels[-1]
+        return self[-1]
 
     @property
     def n(self) -> int:
-        return self._labels[-1].n
+        return self[-1].n
 
     def sort_key(self):
-        return tuple([label._sort_key for label in self._labels])
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __iter__(self):
-        return iter(self._labels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AltPath):
-            return NotImplemented
-        return self._labels == other._labels
-
-    def __hash__(self) -> int:
-        return hash(self._labels)
+        return tuple([label._sort_key for label in self])
 
     def __str__(self) -> str:
-        return ";".join([label._text for label in self._labels])
+        return ";".join([label._text for label in self])
 
     def __repr__(self) -> str:
         return f"AltPath.parse({str(self)!r})"
 
     def to_json(self) -> list[dict]:
-        return [label.to_json() for label in self._labels]
+        return [label.to_json() for label in self]
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +88,7 @@ def enumerate_paths(label: AltLabel) -> tuple[AltPath, ...]:
     if label.n == 2:
         return (AltPath((label,)),)
     found = [
-        AltPath._trusted(shorter.labels + (label,))
+        AltPath._trusted(shorter + (label,))
         for below in dagger_down_set(label)
         for shorter in enumerate_paths(below)
     ]
@@ -118,15 +101,14 @@ def path_equivalent(a: AltPath, b: AltPath) -> bool:
     level the two canonical labels are one object, since labels are interned."""
     if len(a) != len(b):
         raise ValueError(f"paths of different lengths {len(a)} and {len(b)}")
-    return all(map(is_, map(canonical_label, a._labels), map(canonical_label, b._labels)))
+    return all(map(is_, map(canonical_label, a), map(canonical_label, b)))
 
 
 def _run_starts(path: AltPath) -> list[int]:
     """The level index of each run's first label: 0, and each unsigned
     label one level above a signed one."""
-    labels = path.labels
-    return [0] + [k for k in range(1, len(labels))
-                  if labels[k - 1].is_signed() and not labels[k].is_signed()]
+    return [0] + [k for k in range(1, len(path))
+                  if path[k - 1].is_signed() and not path[k].is_signed()]
 
 
 def _last_run_start(labels: tuple[AltLabel, ...]) -> int:
@@ -141,9 +123,8 @@ def class_members(path: AltPath) -> tuple[AltPath, ...]:
     """The members of the path's class that end at its endpoint, sorted:
     each block from one run start to the next is kept or, if a signed label
     closes its run, conjugated whole, which keeps every link."""
-    labels = path.labels
-    bounds = _run_starts(path) + [len(labels)]
-    blocks = [labels[start:end] for start, end in zip(bounds, bounds[1:])]
+    bounds = _run_starts(path) + [len(path)]
+    blocks = [path[start:end] for start, end in zip(bounds, bounds[1:])]
     choices = [(block, tuple(map(conjugate_label, block))) if block[-1].is_signed() else (block,)
                for block in blocks]
     members = (AltPath._trusted(sum(combo, ())) for combo in product(*choices))
@@ -171,9 +152,9 @@ def geodesic_representatives(label: AltLabel) -> tuple[AltPath, ...]:
         closes_run = label.is_signed() and not below.is_signed()
         for shorter in geodesic_representatives(below):
             if closes_run:
-                start = shorter.labels[_last_run_start(shorter.labels)]
+                start = shorter[_last_run_start(shorter)]
                 if canonical_label(start) != start:
                     continue
-            found.append(AltPath._trusted(shorter.labels + (label,)))
+            found.append(AltPath._trusted(shorter + (label,)))
     found.sort(key=AltPath.sort_key)
     return tuple(found)

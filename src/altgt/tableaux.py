@@ -1,12 +1,12 @@
 """Standard Young tableaux and the cell bookkeeping the representations need.
 
-A standard tableau on n boxes is a path up Young's graph, and it is stored
-as one: the row that each entry 1..n joins (its Yamanouchi word).  Rows,
-row word and positions are read off that word, and so is the sign of a
-tableau against the anchor of its shape.  Adding box n reads its
-row from the shape's corner map (`Partition.cover_row`).  The text
-form joins rows with "/" and, when n > 9, separates entries inside a row
-with spaces: "124/3/5", "1 2 10/3 11/...".
+A standard tableau on n boxes is a path up Young's graph, and it is that
+path: the bytes of the row that each entry 1..n joins (its Yamanouchi
+word).  Shape, rows, row word and positions are read off that word, and so
+is the sign of a tableau against the anchor of its shape.  Adding box n
+reads its row from the shape's corner map (`Partition.cover_row`).  The
+text form joins rows with "/" and, when n > 9, separates entries inside a
+row with spaces: "124/3/5", "1 2 10/3 11/...".
 """
 
 from __future__ import annotations
@@ -15,12 +15,15 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .partitions import Partition, _integer
+from .partitions import _INTERNED, Partition, _integer
 
 
-class StandardTableau:
-    """A standard tableau, stored as its shape and the row of each entry:
-    item k - 1 of the word is the 0-based row holding entry k.
+class StandardTableau(bytes):
+    """A standard tableau, stored as the row of each entry: byte k - 1 is the
+    0-based row holding entry k.  Rows stay below 256, as a partition has at
+    most MAX_BOXES boxes.  A tableau is the bytes of its word, so it equals
+    and hashes like them, its length is n, and its shape is read off the row
+    counts when asked.
 
     The constructor and `parse` check that the rows form a standard tableau.
     `append_box`, `conjugate` and `swap_adjacent` derive a tableau from one
@@ -28,14 +31,13 @@ class StandardTableau:
     the checks.
     """
 
-    __slots__ = ("_word", "_shape")
+    __slots__ = ()
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(map(_integer, row)) for row in rows)
         if not rows or any(not row for row in rows):
             raise ValueError("empty tableau rows are not allowed")
-        shape = Partition(tuple(len(row) for row in rows))  # validates the shape
-        n = shape.n
+        n = Partition(tuple(len(row) for row in rows)).n  # validates the shape
         row_of: dict[int, int] = {}
         for r, row in enumerate(rows):
             for entry in row:
@@ -50,17 +52,17 @@ class StandardTableau:
                     raise ValueError(f"row {r + 1} is not increasing")
                 if r + 1 < len(rows) and c < len(rows[r + 1]) and row[c] > rows[r + 1][c]:
                     raise ValueError(f"column {c + 1} is not increasing")
-        self._word = tuple(row_of[e] for e in range(1, n + 1))
-        self._shape = shape
+        return super().__new__(cls, [row_of[e] for e in range(1, n + 1)])
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a tableau through the checked constructor
+        return (self.rows,)
 
     @classmethod
-    def _trusted(cls, word: tuple[int, ...], shape: Partition) -> "StandardTableau":
+    def _trusted(cls, word) -> "StandardTableau":
         """A tableau from the row of each entry, known to describe a standard
-        tableau of this shape; nothing is checked."""
-        tableau = object.__new__(cls)
-        tableau._word = word
-        tableau._shape = shape
-        return tableau
+        tableau; nothing is checked."""
+        return bytes.__new__(cls, word)
 
     @classmethod
     def parse(cls, text: str) -> "StandardTableau":
@@ -81,45 +83,46 @@ class StandardTableau:
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        rows: list[list[int]] = [[] for _ in self._shape.parts]
-        for entry, r in enumerate(self._word, 1):
+        rows: list[list[int]] = [[] for _ in range(max(self) + 1)]
+        for entry, r in enumerate(self, 1):
             rows[r].append(entry)
         return tuple(map(tuple, rows))
 
     @property
-    def word(self) -> tuple[int, ...]:
+    def word(self) -> "StandardTableau":
         """The 0-based row of each entry: item k - 1 is the row of entry k."""
-        return self._word
+        return self
 
     @property
     def n(self) -> int:
-        return len(self._word)
+        return len(self)
 
     @property
     def shape(self) -> Partition:
-        return self._shape
+        # a word's row counts are a partition, so an interned one is returned unchecked
+        counts = tuple(map(self.count, range(max(self) + 1)))
+        return _INTERNED.get(counts) or Partition(counts)
 
     def position(self, entry: int) -> tuple[int, int]:
         """0-based (row, column) of an entry."""
-        if not 1 <= entry <= len(self._word):
+        if not 1 <= entry <= len(self):
             raise ValueError(f"no entry {entry} in this tableau")
-        r = self._word[entry - 1]
-        return r, self._word[: entry - 1].count(r)
+        r = self[entry - 1]
+        return r, self.count(r, 0, entry - 1)
 
     def row_word(self) -> tuple[int, ...]:
         """Rows concatenated top to bottom; the enumeration sort key.  A stable
         sort of the entries by row keeps each row increasing."""
-        word = self._word
-        return tuple(sorted(range(1, len(word) + 1), key=lambda k: word[k - 1]))
+        return tuple(sorted(range(1, len(self) + 1), key=lambda k: self[k - 1]))
 
     def conjugate(self) -> "StandardTableau":
         """The transpose: each entry moves to the row numbered by its column."""
-        filled = [0] * len(self._shape.parts)
-        cols = []
-        for r in self._word:
+        filled = [0] * (max(self) + 1)
+        cols = bytearray()
+        for r in self:
             cols.append(filled[r])
             filled[r] += 1
-        return StandardTableau._trusted(tuple(cols), self._shape.conjugate())
+        return StandardTableau._trusted(cols)
 
     def axial_distance(self, i: int) -> int:
         """(col - row) of entry i+1 minus (col - row) of entry i."""
@@ -129,23 +132,14 @@ class StandardTableau:
     def swap_adjacent(self, i: int) -> "StandardTableau":
         """Exchange entries i and i+1, for 1 <= i < n, which the caller has
         checked share no row or column."""
-        word = self._word
-        return StandardTableau._trusted(
-            word[: i - 1] + (word[i], word[i - 1]) + word[i + 1:], self._shape
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StandardTableau):
-            return NotImplemented
-        return self._word == other._word
-
-    def __hash__(self) -> int:
-        return hash(self._word)
+        word = bytearray(self)
+        word[i - 1], word[i] = word[i], word[i - 1]
+        return StandardTableau._trusted(word)
 
     def joined(self, row_sep: str, entry_sep: str) -> str:
         """Each row's entries joined by entry_sep, and the rows by row_sep."""
-        rows: list[list[str]] = [[] for _ in self._shape.parts]
-        for entry, r in enumerate(self._word, 1):
+        rows: list[list[str]] = [[] for _ in range(max(self) + 1)]
+        for entry, r in enumerate(self, 1):
             rows[r].append(str(entry))
         return row_sep.join([entry_sep.join(row) for row in rows])
 
@@ -174,8 +168,7 @@ class StandardTableau:
 def append_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:
     """Extend a tableau on n-1 boxes to a shape covering its own by placing
     box n; the caller has checked the cover."""
-    row = shape.cover_row(tableau.shape)
-    return StandardTableau._trusted(tableau._word + (row,), shape)
+    return StandardTableau._trusted(tableau + bytes((shape.cover_row(tableau.shape),)))
 
 
 @lru_cache(maxsize=None)
@@ -183,11 +176,11 @@ def enumerate_syt(shape: Partition) -> tuple[StandardTableau, ...]:
     """All standard tableaux of a shape, ordered by row word."""
     if shape.n == 1:
         return (StandardTableau([[1]]),)
-    found = [
-        append_box(small, shape)
-        for below in shape.down_set()
-        for small in enumerate_syt(below)
-    ]
+    found = []
+    for below in shape.down_set():
+        # box n joins the row of the corner that `below` lacks, in each of its tableaux
+        box = bytes((shape.cover_row(below),))
+        found += [StandardTableau._trusted(small + box) for small in enumerate_syt(below)]
     # the row word as bytes sorts alike, since a partition has at most 200 boxes,
     # and takes a third of the tuple's memory, most of what the sort holds
     found.sort(key=lambda t: bytes(t.row_word()))
@@ -215,8 +208,7 @@ def syt_count(shape: Partition) -> int:
 
 def row_superstandard(shape: Partition) -> StandardTableau:
     """Entries 1..n filled row by row, left to right."""
-    word = tuple(r for r, length in enumerate(shape.parts) for _ in range(length))
-    return StandardTableau._trusted(word, shape)
+    return StandardTableau._trusted(r for r, length in enumerate(shape.parts) for _ in range(length))
 
 
 @lru_cache(maxsize=None)
@@ -233,9 +225,10 @@ def reference_tableau(shape: Partition) -> StandardTableau:
     return append_box(reference_tableau(below), shape)
 
 
-def permutation_sign(tableau: StandardTableau) -> int:
+def permutation_sign(tableau: StandardTableau, shape: Partition | None = None) -> int:
     """Sign of the permutation sending the anchor filling of the tableau's
-    shape to this one, cellwise.
+    shape to this one, cellwise.  A caller that holds the shape passes it,
+    so it is not read off the word again.
 
     Both row words list the same cells in the same order, so the cellwise
     permutation is one row word composed with the inverse of the other, and
@@ -244,14 +237,14 @@ def permutation_sign(tableau: StandardTableau) -> int:
     j < k with j in a later row than k.  So the sign is
     (-1)^(inv(T) + inv(anchor)).
     """
-    inversions = _inversions(tableau._word) + _anchor_inversions(tableau.shape)
+    inversions = _inversions(tableau) + _anchor_inversions(shape or tableau.shape)
     return -1 if inversions % 2 else 1
 
 
-def _inversions(word: tuple[int, ...]) -> int:
+def _inversions(word: bytes) -> int:
     return sum(a > b for a, b in combinations(word, 2))
 
 
 @lru_cache(maxsize=None)
 def _anchor_inversions(shape: Partition) -> int:
-    return _inversions(reference_tableau(shape)._word)
+    return _inversions(reference_tableau(shape))

@@ -302,9 +302,9 @@ def _gt_failure(label: AltLabel) -> str | None:
         if mate == after:
             return f"classes list {mate} twice"
     # walking one step back down the path must recover the shorter vector
-    truncations = gt_vectors(AltPath._trusted(p.labels[:-1]) for p in paths)
+    truncations = gt_vectors(AltPath._trusted(p[:-1]) for p in paths)
     for p, v, shorter in zip(paths, vectors, truncations):
-        head, prev = p.labels[-1], p.labels[-2]
+        head, prev = p[-1], p[-2]
         up = carry(shorter, prev.partition, shape)
         if not head.is_signed() or prev.is_signed():
             if v != up:

@@ -188,6 +188,15 @@ def test_representative_counts_match_dimension():
             assert len(geodesic_representatives(label)) == dim_alt(label)
 
 
+def test_a_path_is_the_tuple_of_its_labels():
+    for n in range(2, 9):
+        for label in labels(n):
+            for p in geodesic_representatives(label):
+                assert type(p) is AltPath and not hasattr(p, "__dict__")
+                assert p == tuple(p.labels) and hash(p) == hash(tuple(p.labels))
+                assert p.endpoint is label and p.n == n
+
+
 def test_geodesic_representatives_are_minimal():
     assert len(geodesic_representatives(AltLabel.parse("4,1,1"))) == 10
     for n in range(2, 10):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from math import comb
 
 import pytest
@@ -87,6 +89,22 @@ def test_enumerate_matches_brute_force():
     for n in range(1, 7):
         for shape in partitions_of(n):
             assert set(enumerate_syt(shape)) == brute_force_syt(shape)
+
+
+def test_a_tableau_is_the_bytes_of_its_word():
+    for n in range(1, 9):
+        for shape in partitions_of(n):
+            for t in enumerate_syt(shape):
+                assert isinstance(t, bytes) and not hasattr(t, "__dict__")
+                assert t == bytes(t.word) and hash(t) == hash(bytes(t.word))
+                assert len(t) == t.n == n
+                assert t.shape is StandardTableau(t.rows).shape is shape
+
+
+def test_copy_and_pickle_rebuild_a_checked_tableau():
+    t = StandardTableau.parse("124/3/5")
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(clone) is StandardTableau and clone == t and clone.shape is t.shape
 
 
 def test_enumeration_is_sorted_by_row_word():
