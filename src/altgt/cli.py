@@ -49,10 +49,21 @@ def _check_entries(shape: Partition, name, ceiling: int) -> None:
         raise ValueError(f"{name}: n^2 times the tableau count is above the ceiling {ceiling}")
 
 
-def _write_table(rows, widths) -> None:
-    """Print each row of cells left-justified to the column widths."""
-    for cells in rows:
-        sys.stdout.write("  ".join([c.ljust(w) for c, w in zip(cells, widths)]).rstrip() + "\n")
+def _filled(row: dict, blanks: list) -> list:
+    """The cells of a row given as a map column -> text, blanks elsewhere."""
+    cells = blanks.copy()
+    for c, text in row.items():
+        cells[c] = text
+    return cells
+
+
+def _write_table(rows, widths, blank: str = "") -> None:
+    """Print each row, a map column -> cell text, left-justified to the
+    column widths; a column missing from a row holds `blank`, padded once."""
+    blanks = [blank.ljust(w) for w in widths]
+    for row in rows:
+        padded = {c: text.ljust(widths[c]) for c, text in row.items()}
+        sys.stdout.write("  ".join(_filled(padded, blanks)).rstrip() + "\n")
 
 
 def _write_json_list(fragments, indent: int = 0) -> None:
@@ -83,27 +94,30 @@ def _cmd_yor(args) -> int:
         raise ValueError(f"{shape}: the dimension is above the ceiling {MAX_YOR_DIM}")
     if not 1 <= args.gen <= shape.n - 1:
         raise ValueError(f"generator {args.gen} out of range 1..{shape.n - 1} for shape {shape}")
-    rows, out, cells = rep_matrix(shape, args.gen), sys.stdout, {}
     # each distinct entry rendered once; JSON cells sit 6 spaces deep, in a row of the rows list
-    render = {"json": lambda x: _nested_json(cells, x, 6), "latex": Scalar.latex, "text": str}[args.format]
-    zero, columns = render(ZERO), range(len(rows))
-    dense = ([render(row[c]) if c in row else zero for c in columns] for row in rows)
+    render = lru_cache(maxsize=None)(
+        {"json": lambda x: _nested(x.to_json(), 6), "latex": Scalar.latex, "text": str}[args.format])
+    rows = [{c: render(x) for c, x in row.items()} for row in rep_matrix(shape, args.gen)]
+    zero, out = render(ZERO), sys.stdout
+    if args.format == "text":
+        widths = [len(zero)] * len(rows)
+        for row in rows:
+            for c, text in row.items():
+                widths[c] = max(widths[c], len(text))
+        _write_table(rows, widths, zero)
+        return 0
+    zeros = [zero] * len(rows)
+    dense = (_filled(row, zeros) for row in rows)
     if args.format == "json":
         header = {"shape": shape.to_json(), "generator": args.gen,
                   "basis": [t.to_json() for t in enumerate_syt(shape)]}
         out.write(json.dumps(header, indent=2).removesuffix("\n}") + ',\n  "rows": ')
         _write_json_list(("[\n      " + ",\n      ".join(row) + "\n    ]" for row in dense), 2)
         out.write("}\n")
-    elif args.format == "latex":
+    else:
         out.write("\\begin{pmatrix}\n" + " & ".join(next(dense)))
         out.writelines(" \\\\\n" + " & ".join(cells) for cells in dense)
         out.write("\n\\end{pmatrix}\n")
-    else:
-        widths = [1] * len(rows)  # len("0"); a column with no 0 (dim <= 2) has none narrower
-        for row in rows:
-            for c, x in row.items():
-                widths[c] = max(widths[c], len(str(x)))
-        _write_table(dense, widths)
     return 0
 
 
@@ -115,13 +129,17 @@ def _cmd_assoc(args) -> int:
     basis = enumerate_syt(shape)
     coeffs = [assoc_coeff(t) for t in basis]
     if args.format == "json":
-        _write_json_list(_nested({"tableau": t.to_json(), "coeff": c.to_json(),
-                                  "conjugate": t.conjugate().to_json()}, 2)
+        # each of the few distinct coefficients encoded once, 4 spaces deep in its row
+        coeff_json = lru_cache(maxsize=None)(lambda c: _nested(c.to_json(), 4))
+        _write_json_list(f'{{\n    "tableau": {t.json_text(4)},\n    "coeff": {coeff_json(c)},'
+                         f'\n    "conjugate": {t.conjugate().json_text(4)}\n  }}'
                          for t, c in zip(basis, coeffs))
     else:
+        text = lru_cache(maxsize=None)(str)
         width = len(str(basis[0]))  # that of every tableau of the shape, t' among them
-        widths = (width, max(len(str(c)) for c in set(coeffs)), width)
-        _write_table(([str(t), str(c), str(t.conjugate())] for t, c in zip(basis, coeffs)), widths)
+        widths = (width, max(len(text(c)) for c in coeffs), width)
+        _write_table(({0: str(t), 1: text(c), 2: str(t.conjugate())} for t, c in zip(basis, coeffs)),
+                     widths)
     return 0
 
 
@@ -159,30 +177,23 @@ def _cmd_gt(args) -> int:
     return 0
 
 
-def _nested_json(memo: dict, obj, indent: int) -> str:
-    """json.dumps(obj.to_json(), indent=2) `indent` spaces deep, once per object."""
-    text = memo.get(obj)
-    if text is None:
-        text = memo[obj] = _nested(obj.to_json(), indent)
-    return text
-
-
 def _write_gt_json(basis) -> None:
     """Print json.dumps(payload, indent=2) of the gt payload a vector at a
-    time; the tableaux come from the shape's memo, 8 spaces deep."""
-    labels, coeffs, write = {}, {}, sys.stdout.write
-    sep = "[\n"
-    for path, vector in basis:
-        path_json = ",\n      ".join([_nested_json(labels, lb, 6) for lb in path])
+    time; each label and distinct coefficient is encoded once, and the
+    tableaux come from the shape's memo, 8 spaces deep."""
+    label_json = lru_cache(maxsize=None)(lambda label: _nested(label.to_json(), 6))
+    coeff_json = lru_cache(maxsize=None)(lambda c: _nested(c.to_json(), 8))
+
+    def vector_json(path, vector) -> str:
+        path_json = ",\n      ".join(map(label_json, path))
         terms_json = ",\n      ".join([
-            f'{{\n        "tableau": {t},'
-            f'\n        "coeff": {_nested_json(coeffs, c, 8)}\n      }}'
+            f'{{\n        "tableau": {t},\n        "coeff": {coeff_json(c)}\n      }}'
             for t, c in vector.rendered_terms("json")
         ])
-        write(f'{sep}  {{\n    "path": [\n      {path_json}\n    ],'
-              f'\n    "terms": [\n      {terms_json}\n    ]\n  }}')
-        sep = ",\n"
-    write("\n]\n")
+        return (f'{{\n    "path": [\n      {path_json}\n    ],'
+                f'\n    "terms": [\n      {terms_json}\n    ]\n  }}')
+
+    _write_json_list(vector_json(path, vector) for path, vector in basis)
 
 
 def _cmd_verify(args) -> int:
