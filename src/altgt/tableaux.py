@@ -113,12 +113,12 @@ class StandardTableau(bytes):
     def row_word(self) -> tuple[int, ...]:
         """Rows concatenated top to bottom; the enumeration sort key.  A stable
         sort of the entries by row keeps each row increasing."""
-        return tuple(sorted(range(1, len(self) + 1), key=lambda k: self[k - 1]))
+        # byte k of the word behind a pad byte is the row of entry k
+        return tuple(sorted(range(1, len(self) + 1), key=(b"\0" + self).__getitem__))
 
     def conjugate(self) -> "StandardTableau":
         """The transpose: each entry moves to the row numbered by its column."""
-        filled = [0] * (max(self) + 1)
-        cols = bytearray()
+        filled, cols = [0] * (max(self) + 1), []
         for r in self:
             cols.append(filled[r])
             filled[r] += 1
