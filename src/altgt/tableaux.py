@@ -90,7 +90,8 @@ class StandardTableau(bytes):
 
     @property
     def word(self) -> "StandardTableau":
-        """The 0-based row of each entry: item k - 1 is the row of entry k."""
+        """The 0-based row of each entry, which is the tableau itself: byte
+        k - 1 is the row of entry k."""
         return self
 
     @property

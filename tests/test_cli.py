@@ -151,7 +151,7 @@ def test_huge_inputs_exit_2_under_a_memory_limit(argv):
 
 
 def test_tableau_ceiling_admits_the_staircase_of_15():
-    # syt 5,4,3,2,1 lists 292,864 tableaux at a peak RSS of 95.5 MB (Python 3.11)
+    # syt 5,4,3,2,1 lists 292,864 tableaux at a peak RSS of 95.7 MB (Python 3.11)
     shape = Partition((5, 4, 3, 2, 1))
     assert shape.n ** 2 * syt_count(shape) <= cli.MAX_SYT_ENTRIES
 
