@@ -58,10 +58,6 @@ class AltPath(tuple):
         return cls(tuple(AltLabel.parse(c) for c in text.split(";")))
 
     @property
-    def labels(self) -> "AltPath":
-        return self
-
-    @property
     def endpoint(self) -> AltLabel:
         return self[-1]
 

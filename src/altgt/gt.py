@@ -54,7 +54,7 @@ def _cover_map(shape: Partition) -> dict[Partition, array]:
     in_row = {shape.cover_row(below): below for below in shape.down_set()}
     ranks = {below: array("i") for below in in_row.values()}
     for rank, tableau in enumerate(enumerate_syt(shape)):
-        ranks[in_row[tableau.word[-1]]].append(rank)
+        ranks[in_row[tableau[-1]]].append(rank)
     return ranks
 
 
@@ -93,12 +93,11 @@ def gt_vectors(paths) -> Iterator[dict[int, int]]:
     """
     stack: list[tuple[AltLabel, dict[int, int]]] = []
     for path in paths:
-        labels = path.labels
-        keep, common = 0, min(len(stack), len(labels))
-        while keep < common and stack[keep][0] is labels[keep]:
+        keep, common = 0, min(len(stack), len(path))
+        while keep < common and stack[keep][0] is path[keep]:
             keep += 1
         del stack[keep:]
-        for head in labels[keep:]:
+        for head in path[keep:]:
             if not stack:
                 terms = {0: 0}
             else:

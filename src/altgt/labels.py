@@ -7,8 +7,10 @@ sign tag ("2,1^+", "2,1^-").  Two labels at the same level are equivalent
 when equal or conjugate; conjugation fixes each signed label.
 
 There is one object per label, so equality is identity.  Hash, sort key and
-text are read from content, never from ids, so no hash order, sort or output
-depends on which object came first.
+text are read from content, never from ids: a label hashes its partition's
+parts and an integer sign code, not None, whose hash is its address before
+Python 3.12.  So no hash order, sort or output depends on which object came
+first or on the run.
 
 Branching from level n to n-1 (the dagger relation) follows containment of
 the underlying partitions:
@@ -40,7 +42,9 @@ class AltLabel:
     returns the stored object for each (partition, sign) and validates the
     rest only on first sight, so `==` is identity.  Computed once, from
     content: the sort key (rev-lex partition, then + before -), the hash of
-    (partition, sign) and the text ("2,1^+").
+    the partition and the sign code (0 when unsigned) and the text ("2,1^+").
+    Copy and pickle rebuild a label through the constructor, so they give
+    back the stored object.
     """
 
     __slots__ = ("_partition", "_sign", "_sort_key", "_hash", "_text")
@@ -60,10 +64,13 @@ class AltLabel:
         label._partition = partition
         label._sign = sign
         label._sort_key = (revlex_key(partition), 0 if sign in (None, 1) else 1)
-        label._hash = hash((partition, sign))
+        label._hash = hash((partition, sign or 0))
         label._text = str(partition) if sign is None else f"{partition}^{_SIGN_CHARS[sign]}"
         _INTERNED[partition, sign] = label
         return label
+
+    def __reduce__(self):
+        return AltLabel, (self._partition, self._sign)
 
     @classmethod
     def parse(cls, text: str) -> "AltLabel":

@@ -1,6 +1,7 @@
 """Integer partitions and the covering relation of Young's graph.
 
-A partition holds at most MAX_BOXES boxes, so the recursions up Young's
+A partition is the tuple of its parts, one stored object per partition, so
+callers index, iterate, compare and sort it as that tuple.  A partition holds at most MAX_BOXES boxes, so the recursions up Young's
 graph, a few stack frames per box, stay inside Python's recursion limit.
 """
 
@@ -19,19 +20,21 @@ def _integer(value) -> int:
     return int(value)
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers.
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers, and that tuple: a
+    partition equals, hashes and sorts like the tuple of its parts.
 
     One object per partition: the constructor returns the stored object for
-    each tuple of parts and validates only on first sight, so `==` is
-    identity; a rejected value, such as one over MAX_BOXES boxes, stores
-    nothing.  Size and hash are computed once, from content.  `conjugate` and
-    the corner map, which sends each partition one box below to the row of
-    the removed corner, are cached per partition; `down_set` lists its keys
-    and `cover_row` looks a row up.
+    each tuple of parts and validates only on first sight, so two equal
+    partitions are one object; a rejected value, such as one over MAX_BOXES
+    boxes, stores nothing.  Copy and pickle rebuild a partition through the
+    constructor, so they give back the stored object.  `conjugate` and the
+    corner map, which sends each partition one box below to the row of the
+    removed corner, are cached per partition; `down_set` lists its keys and
+    `cover_row` looks a row up.
     """
 
-    __slots__ = ("_parts", "_n", "_hash")
+    __slots__ = ()
 
     def __new__(cls, parts) -> "Partition":
         parts = tuple(map(_integer, parts))
@@ -45,15 +48,16 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts[-1] < 1:
             raise ValueError(f"parts must be positive, got {parts}")
-        n = sum(parts)
-        if n > MAX_BOXES:
+        if sum(parts) > MAX_BOXES:
             text = ",".join(map(str, parts))
             raise ValueError(f"partition {text} has more than {MAX_BOXES} boxes")
-        partition = _INTERNED[parts] = super().__new__(cls)
-        partition._parts = parts
-        partition._n = n
-        partition._hash = hash(parts)
+        partition = _INTERNED[parts] = super().__new__(cls, parts)
         return partition
+
+    def __reduce__(self):
+        # the constructor hands back the stored object; pickle protocols 0
+        # and 1 would otherwise build a second one through tuple.__new__
+        return Partition, (tuple(self),)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -69,37 +73,21 @@ class Partition:
         return cls(parts)
 
     @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
-
-    @property
     def n(self) -> int:
-        return self._n
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, idx):
-        return self._parts[idx]
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __hash__(self) -> int:
-        return self._hash
+        return sum(self)
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self._parts)
+        return ",".join(map(str, self))
 
     def __repr__(self) -> str:
-        return f"Partition({self._parts!r})"
+        return f"Partition({tuple(self)!r})"
 
     def to_json(self) -> list[int]:
-        return list(self._parts)
+        return list(self)
 
     @lru_cache(maxsize=None)
     def conjugate(self) -> "Partition":
-        cols = [sum(1 for p in self._parts if p > j) for j in range(self._parts[0])]
+        cols = [sum(1 for p in self if p > j) for j in range(self[0])]
         return Partition(cols)
 
     def is_self_conjugate(self) -> bool:
@@ -107,29 +95,28 @@ class Partition:
 
     def diagonal_length(self) -> int:
         """Number of diagonal cells: max i with lambda_i >= i (1-based)."""
-        return sum(1 for i, p in enumerate(self._parts, start=1) if p >= i)
+        return sum(1 for i, p in enumerate(self, start=1) if p >= i)
 
     @lru_cache(maxsize=None)
     def _corners(self) -> dict["Partition", int]:
         """Each partition one box below, mapped to the 0-based row of the
         removed corner, top row first; empty for the single box."""
         corners = {}
-        if self._n < 2:
+        if self.n < 2:
             return corners
-        parts = self._parts
-        for i, p in enumerate(parts):
-            last_in_run = i + 1 == len(parts) or parts[i + 1] < p
+        for i, p in enumerate(self):
+            last_in_run = i + 1 == len(self) or self[i + 1] < p
             if not last_in_run:
                 continue
             if p == 1:
-                corners[Partition(parts[:i])] = i
+                corners[Partition(self[:i])] = i
             else:
-                corners[Partition(parts[:i] + (p - 1,) + parts[i + 1:])] = i
+                corners[Partition(self[:i] + (p - 1,) + self[i + 1:])] = i
         return corners
 
     def down_set(self) -> tuple["Partition", ...]:
         """All partitions obtained by removing one removable corner cell."""
-        if self._n < 2:
+        if self.n < 2:
             raise ValueError(f"no partitions below {self}")
         return tuple(self._corners())
 
@@ -150,7 +137,7 @@ class Partition:
 
 def revlex_key(partition: Partition) -> tuple[int, ...]:
     """Sort key for reverse lexicographic order (larger first part precedes)."""
-    return tuple(-p for p in partition.parts)
+    return tuple(-p for p in partition)
 
 
 @lru_cache(maxsize=None)

@@ -89,12 +89,6 @@ class StandardTableau(bytes):
         return tuple(map(tuple, rows))
 
     @property
-    def word(self) -> "StandardTableau":
-        """The 0-based row of each entry, which is the tableau itself: byte
-        k - 1 is the row of entry k."""
-        return self
-
-    @property
     def n(self) -> int:
         return len(self)
 
@@ -199,9 +193,9 @@ def syt_count(shape: Partition) -> int:
     """Number of standard tableaux, n! over the product of the hook lengths
     (Frame, Robinson and Thrall).  The hook of a cell is the cell and the
     cells right of it in its row and below it in its column."""
-    columns = shape.conjugate().parts
+    columns = shape.conjugate()
     hooks = 1
-    for i, row in enumerate(shape.parts):
+    for i, row in enumerate(shape):
         for j in range(row):
             hooks *= row - j + columns[j] - i - 1
     return factorial(shape.n) // hooks
@@ -209,7 +203,7 @@ def syt_count(shape: Partition) -> int:
 
 def row_superstandard(shape: Partition) -> StandardTableau:
     """Entries 1..n filled row by row, left to right."""
-    return StandardTableau._trusted(r for r, length in enumerate(shape.parts) for _ in range(length))
+    return StandardTableau._trusted(r for r, length in enumerate(shape) for _ in range(length))
 
 
 @lru_cache(maxsize=None)
@@ -226,10 +220,10 @@ def reference_tableau(shape: Partition) -> StandardTableau:
     return append_box(reference_tableau(below), shape)
 
 
-def permutation_sign(tableau: StandardTableau, shape: Partition | None = None) -> int:
+def permutation_sign(tableau: StandardTableau, shape: Partition) -> int:
     """Sign of the permutation sending the anchor filling of the tableau's
-    shape to this one, cellwise.  A caller that holds the shape passes it,
-    so it is not read off the word again.
+    shape, which the caller passes so it is not read off the word again, to
+    this one, cellwise.
 
     Both row words list the same cells in the same order, so the cellwise
     permutation is one row word composed with the inverse of the other, and
@@ -238,7 +232,7 @@ def permutation_sign(tableau: StandardTableau, shape: Partition | None = None) -
     j < k with j in a later row than k.  So the sign is
     (-1)^(inv(T) + inv(anchor)).
     """
-    inversions = _inversions(tableau) + _anchor_inversions(shape or tableau.shape)
+    inversions = _inversions(tableau) + _anchor_inversions(shape)
     return -1 if inversions % 2 else 1
 
 

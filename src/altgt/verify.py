@@ -255,10 +255,10 @@ def _gt_failure(label: AltLabel) -> str | None:
     # one walk of each tableau's word keeps the row counts of its prefix
     basis = enumerate_syt(shape)
     for p, v in zip(paths, vectors):
-        steps = [(step.n, step.partition.parts, step.partition.conjugate().parts) for step in p]
+        steps = [(step.n, step.partition, step.partition.conjugate()) for step in p]
         for r in v:
             counts = [1]
-            for (n, parts, conjugate), row in zip(steps, basis[r].word[1:]):
+            for (n, parts, conjugate), row in zip(steps, basis[r][1:]):
                 if row < len(counts):
                     counts[row] += 1
                 else:

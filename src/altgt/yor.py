@@ -186,15 +186,18 @@ class GTVector:
 
     def latex(self) -> str:
         """The vector as c v_{T} + ..., with a fourth root of unity written as
-        a sign or i and any other coefficient bracketed when it is a sum."""
+        a sign or i and any other coefficient bracketed when it is a sum: of
+        terms over several radicands, or of a real and an imaginary part."""
         if not self._terms:
             return "0"
         terms = []
         for t, c in self.rendered_terms("latex"):
-            coeff = _UNIT_LATEX.get(c.terms())
+            key = c.terms()
+            coeff = _UNIT_LATEX.get(key)
             if coeff is None:
                 coeff = c.latex()
-                if "+" in coeff[1:] or "-" in coeff[1:]:
+                (q, (a, b, _)), *rest = key
+                if rest or (q == 1 and a and b):
                     coeff = f"\\left({coeff}\\right)"
             terms.append(f"{coeff}v_{{{t}}}")
         return " + ".join(terms)
@@ -253,15 +256,14 @@ def _generator_table(shape: Partition) -> tuple[tuple[array, array], ...]:
     for i in range(1, shape.n):
         distances, partners = array("b"), array("i")
         for k, tableau in enumerate(basis):
-            word = tableau.word
-            r1, r2 = word[i - 1], word[i]
+            r1, r2 = tableau[i - 1], tableau[i]
             # read off the word, not off |axial_distance| == 1: under a faulty (doubled)
             # axial_distance that check would swap two entries of one row or column, and the
             # rank lookup would raise KeyError instead of the yor audit failing
             if r1 == r2:
                 distances.append(1)
                 partners.append(k)
-            elif word[: i - 1].count(r1) == word[: i - 1].count(r2):
+            elif tableau.count(r1, 0, i - 1) == tableau.count(r2, 0, i - 1):
                 # same column: entry i+1 sits directly below entry i
                 distances.append(-1)
                 partners.append(k)
@@ -274,10 +276,10 @@ def _generator_table(shape: Partition) -> tuple[tuple[array, array], ...]:
 
 def act_simple(i: int, vec: GTVector) -> GTVector:
     """Apply the adjacent transposition (i, i+1) to a vector."""
-    n = vec.shape.n
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    distances, partners = _generator_table(vec.shape)[i - 1]
+    table = _generator_table(vec.shape)
+    if not 1 <= i <= len(table):
+        raise ValueError(f"generator index {i} out of range 1..{len(table)}")
+    distances, partners = table[i - 1]
     out: dict[int, Scalar] = {}
     for rank, coeff in vec._terms.items():
         diagonal, mixing = _scaled_entries(coeff.terms(), distances[rank])

@@ -29,7 +29,7 @@ def brute_force_syt(shape: Partition) -> set[StandardTableau]:
     found = set()
     for perm in permutations(range(1, n + 1)):
         rows, start = [], 0
-        for length in shape.parts:
+        for length in shape:
             rows.append(perm[start:start + length])
             start += length
         ok = True
@@ -63,7 +63,7 @@ def inversion_sign(mapping: dict[int, int]) -> int:
 
 def transpose_cells(shape: Partition) -> Partition:
     """Conjugate partition via the raw cell set."""
-    cells = {(r, c) for r, p in enumerate(shape.parts) for c in range(p)}
+    cells = {(r, c) for r, p in enumerate(shape) for c in range(p)}
     flipped = {(c, r) for r, c in cells}
     rows = {}
     for r, _ in flipped:
@@ -85,14 +85,14 @@ def brute_force_cover_rows(shape: Partition) -> dict[Partition, int]:
     """Each partition one box below, mapped to the row of the deleted cell,
     by deleting each cell of the raw cell set that has no cell to its right
     or below it."""
-    cells = {(r, c) for r, p in enumerate(shape.parts) for c in range(p)}
+    cells = {(r, c) for r, p in enumerate(shape) for c in range(p)}
     found = {}
     for r, c in cells:
         if (r + 1, c) in cells or (r, c + 1) in cells:
             continue
         rest = cells - {(r, c)}
         if rest:
-            lengths = [sum(1 for rr, _ in rest if rr == row) for row in range(len(shape.parts))]
+            lengths = [sum(1 for rr, _ in rest if rr == row) for row in range(len(shape))]
             found[Partition([ln for ln in lengths if ln])] = r
     return found
 
@@ -153,7 +153,7 @@ def scanned_bratteli_edges(max_n: int) -> tuple:
 def branch_count_r(path: AltPath) -> int:
     """Number of signed-to-unsigned descents along the path."""
     count = 0
-    for below, above in zip(path.labels, path.labels[1:]):
+    for below, above in zip(path, path[1:]):
         if below.is_signed() and not above.is_signed():
             count += 1
     return count
@@ -241,9 +241,9 @@ def scalar_walk(path: AltPath) -> GTVector:
     w - phi(w), by `associator.apply_phi` and GTVector `+`/`-`, at a signed
     step over an unsigned label.  Unlike the rest of this module it uses the
     library's maps; it is the walk before coefficients became exponents."""
-    first = path.labels[0].partition
+    first = path[0].partition
     vec = GTVector.basis(enumerate_syt(first)[0])
-    for prev, head in zip(path.labels, path.labels[1:]):
+    for prev, head in zip(path, path[1:]):
         vec = embed(vec, head.partition)
         if head.is_signed() and not prev.is_signed():
             mirrored = apply_phi(vec)

@@ -375,7 +375,7 @@ def test_gt_json(capsys):
 def _label_text(label):
     # written from the partition and sign, not from AltLabel's own text
     sign = {None: "", 1: "^+", -1: "^-"}[label.sign]
-    parts = ",".join(map(str, label.partition.parts))
+    parts = ",".join(map(str, label.partition))
     return f"{parts}{sign}", f"({parts}){sign}"
 
 
@@ -597,7 +597,7 @@ def _shape_text(draw, label=False):
     if draw(st.booleans()):
         sign = draw(st.sampled_from(["^+", "^-"])) if shape.is_self_conjugate() else ""
         return str(shape) + (sign if label else "")
-    parts = list(shape.parts)
+    parts = list(shape)
     if draw(st.booleans()):
         parts = draw(st.permutations(parts + draw(st.lists(st.just(0), max_size=1))))
     digits = [draw(_DIGIT_FORMS)(d) for d in parts]

@@ -45,15 +45,15 @@ def test_validation():
 
 def test_truncated_and_extended():
     p = path("2;3;3,1;4,1;4,1,1")
-    shorter = AltPath(p.labels[:-1])
+    shorter = AltPath(p[:-1])
     assert str(shorter) == "2;3;3,1;4,1"
-    assert AltPath(shorter.labels + (AltLabel.parse("4,1,1"),)) == p
+    assert AltPath(shorter + (AltLabel.parse("4,1,1"),)) == p
     with pytest.raises(ValueError):
-        AltPath(path("2").labels[:-1])
+        AltPath(path("2")[:-1])
     with pytest.raises(ValueError):
-        AltPath(p.labels + (AltLabel.parse("4,1,1"),))  # wrong size for the next level
+        AltPath(p + (AltLabel.parse("4,1,1"),))  # wrong size for the next level
     with pytest.raises(ValueError):
-        AltPath(shorter.labels + (AltLabel.parse("3,3"),))  # not a branching step
+        AltPath(shorter + (AltLabel.parse("3,3"),))  # not a branching step
 
 
 def test_path_links_are_dagger_down_set_membership():
@@ -61,7 +61,7 @@ def test_path_links_are_dagger_down_set_membership():
     # that label's down set
     for n in range(3, 8):
         for below in labels(n - 1):
-            prefix = geodesic_representatives(below)[0].labels
+            prefix = geodesic_representatives(below)[0]
             for above in labels(n):
                 if below in dagger_down_set(above):
                     assert AltPath(prefix + (above,)).endpoint is above
@@ -105,7 +105,7 @@ def test_path_equivalence_matches_componentwise_oracle():
                     assert path_equivalent(p, q) == expected
                 if n > 2:
                     with pytest.raises(ValueError, match="paths of different lengths"):
-                        path_equivalent(p, AltPath(p.labels[:-1]))
+                        path_equivalent(p, AltPath(p[:-1]))
 
 
 def test_class_signature_constant_on_members():
@@ -193,7 +193,7 @@ def test_a_path_is_the_tuple_of_its_labels():
         for label in labels(n):
             for p in geodesic_representatives(label):
                 assert type(p) is AltPath and not hasattr(p, "__dict__")
-                assert p == tuple(p.labels) and hash(p) == hash(tuple(p.labels))
+                assert p == tuple(p) and hash(p) == hash(tuple(p))
                 assert p.endpoint is label and p.n == n
 
 
@@ -263,7 +263,7 @@ def test_last_run_start_reads_the_last_run_start():
     for n in range(2, 9):
         for label in labels(n):
             for p in enumerate_paths(label):
-                assert geodesics._last_run_start(p.labels) == geodesics._run_starts(p)[-1]
+                assert geodesics._last_run_start(p) == geodesics._run_starts(p)[-1]
 
 
 def test_class_members_match_product_filter():
@@ -279,4 +279,4 @@ def test_class_members_match_validated_paths():
         for label in labels(n):
             for p in geodesic_representatives(label):
                 for member in class_members(p):
-                    assert member == AltPath(member.labels)
+                    assert member == AltPath(member)

@@ -92,17 +92,17 @@ def test_cover_map_matches_append_box_construction():
 def test_restrict_inverts_embed():
     for p in enumerate_paths(AltLabel.parse("4,1,1"))[:6]:
         v = gt_vector(p)
-        below = p.labels[-2].partition
+        below = p[-2].partition
         assert restricted(embed(v, Partition((5, 1, 1))), v.shape) == v
-        assert restricted(v, below) == gt_vector(AltPath(p.labels[:-1]))
+        assert restricted(v, below) == gt_vector(AltPath(p[:-1]))
 
 
 def test_truncation_property_all_paths():
     for n in range(3, 7):
         for label in labels(n):
             for p in enumerate_paths(label):
-                below = p.labels[-2].partition
-                assert restricted(gt_vector(p), below) == gt_vector(AltPath(p.labels[:-1]))
+                below = p[-2].partition
+                assert restricted(gt_vector(p), below) == gt_vector(AltPath(p[:-1]))
 
 
 def test_gt_vectors_in_any_order():
@@ -112,7 +112,7 @@ def test_gt_vectors_in_any_order():
         for label in labels(n):
             paths.extend(enumerate_paths(label))
     random.Random(0).shuffle(paths)
-    paths = [q for p in paths[:150] for q in (p, AltPath(p.labels[:2]))]
+    paths = [q for p in paths[:150] for q in (p, AltPath(p[:2]))]
     assert [units(p, v) for p, v in zip(paths, gt_vectors(paths))] == [gt_vector(p) for p in paths]
     assert list(gt_vectors([])) == []
 

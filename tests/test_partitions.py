@@ -93,7 +93,7 @@ def test_cached_down_set_matches_corner_removal():
             for small in below:
                 assert (small in downs) == (small in expected)
             assert shape not in downs
-            assert shape.n == sum(shape.parts)
+            assert shape.n == n
 
 
 def test_cover_partner_roles():
@@ -165,7 +165,7 @@ def test_down_set_conjugation_and_size():
     for n in range(2, 9):
         for p in partitions_of(n):
             downs = p.down_set()
-            assert len(downs) == len(set(p.parts))
+            assert len(downs) == len(set(p))
             assert {q.conjugate() for q in downs} == set(p.conjugate().down_set())
             for q in downs:
                 assert q.n == n - 1
@@ -210,24 +210,24 @@ def test_every_parser_refuses_shapes_over_the_box_limit():
 def test_equal_partitions_hash_alike_on_every_route():
     # one object per partition, whatever built it, with the hash of its parts
     for n in range(1, 9):
-        routes = {p.parts: [p] for p in partitions_of(n)}
+        routes = {tuple(p): [p] for p in partitions_of(n)}
         for p in partitions_of(n):
-            routes[p.parts] += [
+            routes[tuple(p)] += [
                 Partition.parse(str(p)),
-                Partition(list(p.parts)),
+                Partition(list(p)),
                 p.conjugate().conjugate(),
                 transpose_cells(p).conjugate(),
                 StandardTableau.parse(str(row_superstandard(p))).shape,
             ]
-            above = Partition((p[0] + 1,) + p.parts[1:])
-            routes[p.parts].append(next(q for q in above.down_set() if q.parts == p.parts))
+            above = Partition((p[0] + 1,) + p[1:])
+            routes[tuple(p)].append(next(q for q in above.down_set() if q == p))
             if n > 1:
-                sign = "^+" if p.parts == p.conjugate().parts else ""
-                routes[p.parts].append(AltLabel.parse(f"{p}{sign}").partition)
+                sign = "^+" if p == p.conjugate() else ""
+                routes[tuple(p)].append(AltLabel.parse(f"{p}{sign}").partition)
         for large in self_conjugate_partitions(n + 1):
             small = large.self_conjugate_below()
             if small is not None:
-                routes[small.parts].append(small)
+                routes[tuple(small)].append(small)
         for parts, found in routes.items():
             direct = Partition(parts)
             assert len(found) > 5
@@ -235,3 +235,12 @@ def test_equal_partitions_hash_alike_on_every_route():
                 assert q is direct and hash(q) == hash(parts)
         assert len({q for found in routes.values() for q in found}) == len(partitions_of(n))
     assert Partition((2, 1)) is Partition([2, 1])
+
+
+def test_a_partition_is_the_tuple_of_its_parts():
+    shapes = [p for n in range(1, 9) for p in partitions_of(n)]
+    for p in shapes:
+        assert isinstance(p, tuple) and not hasattr(p, "__dict__")
+        assert p == tuple(p) and hash(p) == hash(tuple(p)) and p.n == sum(tuple(p))
+    assert sorted(shapes) == sorted(shapes, key=tuple)
+    assert Partition((2, 1)) == (2, 1) and repr(Partition((2, 1))) == "Partition((2, 1))"

@@ -6,6 +6,9 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from altgt.geodesics import AltPath
+from altgt.gt import gt_vector
+from altgt.labels import AltLabel
 from altgt.partitions import Partition, partitions_of, self_conjugate_partitions
 from altgt.tableaux import (
     StandardTableau,
@@ -96,7 +99,7 @@ def test_a_tableau_is_the_bytes_of_its_word():
         for shape in partitions_of(n):
             for t in enumerate_syt(shape):
                 assert isinstance(t, bytes) and not hasattr(t, "__dict__")
-                assert t == bytes(t.word) and hash(t) == hash(bytes(t.word))
+                assert t == bytes(t) and hash(t) == hash(bytes(t))
                 assert len(t) == t.n == n
                 assert t.shape is StandardTableau(t.rows).shape is shape
 
@@ -105,6 +108,15 @@ def test_copy_and_pickle_rebuild_a_checked_tableau():
     t = StandardTableau.parse("124/3/5")
     for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert type(clone) is StandardTableau and clone == t and clone.shape is t.shape
+    # a partition or a label comes back as the stored object, under every pickle protocol
+    for value in (t.shape, AltLabel.parse("3,1"), AltLabel.parse("2,1^-")):
+        pickled = [pickle.dumps(value, proto) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in [copy.copy(value), copy.deepcopy(value), *map(pickle.loads, pickled)]:
+            assert clone is value
+    path = AltPath.parse("2;2,1^-;3,1")
+    for value in (path, gt_vector(path)):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value) and clone == value
 
 
 def test_enumeration_is_sorted_by_row_word():
@@ -155,9 +167,9 @@ def test_reference_tableaux():
 
 
 def test_permutation_sign_examples():
-    assert permutation_sign(StandardTableau.parse("123/4/5")) == 1
-    assert permutation_sign(StandardTableau.parse("124/3/5")) == -1
-    assert permutation_sign(StandardTableau.parse("134/2/5")) == 1
+    for text, sign in (("123/4/5", 1), ("124/3/5", -1), ("134/2/5", 1)):
+        t = StandardTableau.parse(text)
+        assert permutation_sign(t, t.shape) == sign
 
 
 def test_permutation_sign_matches_inversion_oracle():
@@ -170,7 +182,7 @@ def test_permutation_sign_matches_inversion_oracle():
             for r, row in enumerate(ref.rows):
                 for c, entry in enumerate(row):
                     mapping[entry] = t.rows[r][c]
-            assert permutation_sign(t) == inversion_sign(mapping)
+            assert permutation_sign(t, t.shape) == inversion_sign(mapping)
 
 
 def test_axial_distance():
@@ -227,9 +239,8 @@ def assert_same_as_validated(t, rows=None):
     assert t.row_word() == row_word
     assert [t.position(e) for e in range(1, t.n + 1)] == positions
     # the first k items of the word count the rows of the entries 1..k
-    word = t.word
     assert [
-        Partition(word[:k].count(r) for r in range(max(word[:k]) + 1))
+        Partition(t[:k].count(r) for r in range(max(t[:k]) + 1))
         for k in range(1, t.n + 1)
     ] == prefix_shapes
 
@@ -281,4 +292,4 @@ def test_sign_alternates_on_swaps():
             (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
             if r1 == r2 or c1 == c2:
                 continue
-            assert permutation_sign(t.swap_adjacent(i)) == -permutation_sign(t)
+            assert permutation_sign(t.swap_adjacent(i), t.shape) == -permutation_sign(t, t.shape)

@@ -103,7 +103,7 @@ def test_phi_table_is_the_transpose_and_its_root():
         assert isinstance(exponents, bytes) and len(exponents) == len(basis)
         # i^((n - d)/2) times the sign of the cellwise map from the anchor,
         # stored as its exponent k of i
-        d = sum(1 for r, part in enumerate(shape.parts) if part > r)
+        d = sum(1 for r, part in enumerate(shape) if part > r)
         root = powers[(shape.n - d) // 2 % 4]
         ref = reference_tableau(shape)
         for t, got in zip(basis, map(powers.__getitem__, exponents)):

@@ -100,7 +100,7 @@ def column_flip(i, vec, _orig=yor.act_simple):
 def unsigned_coeff(tableau, _orig=associator.assoc_coeff):
     # drop the permutation sign factor
     c = _orig(tableau)
-    return -c if permutation_sign(tableau) == -1 else c
+    return -c if permutation_sign(tableau, tableau.shape) == -1 else c
 
 
 def rotated_coeff(tableau, _orig=associator.assoc_coeff):

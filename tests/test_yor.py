@@ -91,6 +91,11 @@ def test_vector_latex():
         "\\frac{1}{2}\\sqrt{2}v_{123,4} + -\\frac{1}{2}i\\sqrt{2}v_{124,3}"
         " + \\left(1 + \\sqrt{2}\\right)v_{134,2}"
     )
+    # a complex coefficient times a radical is a product: only its coefficient is bracketed
+    product = Scalar.gaussian(Fraction(1, 2), Fraction(-1, 2)) * sqrt_rational(3)
+    assert GTVector(shape, {t1: product}).latex() == (
+        "\\left(\\frac{1}{2}-\\frac{1}{2}i\\right)\\sqrt{3}v_{123,4}"
+    )
     assert GTVector.zero(shape).latex() == "0"
 
 
