@@ -138,6 +138,10 @@ class Scalar:
         self._terms = terms
         return self
 
+    def __reduce__(self):
+        # pickle protocols 0 and 1 cannot save __slots__ without __getstate__
+        return Scalar._of, (self._terms,)
+
     @classmethod
     def rational(cls, value) -> "Scalar":
         return cls({1: value})

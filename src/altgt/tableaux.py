@@ -2,17 +2,17 @@
 
 A standard tableau on n boxes is a path up Young's graph, and it is that
 path: the bytes of the row that each entry 1..n joins (its Yamanouchi
-word).  Shape, rows, row word and positions are read off that word, and so
-is the sign of a tableau against the anchor of its shape.  Adding box n
-reads its row from the shape's corner map (`Partition.cover_row`).  The
-text form joins rows with "/" and, when n > 9, separates entries inside a
-row with spaces: "124/3/5", "1 2 10/3 11/...".
+word).  Shape, rows, row word and positions are read off that word; the
+sign of a tableau against the anchor of its shape belongs to the
+intertwiner, in `associator`.  Adding box n reads its row from the shape's
+corner map (`Partition.cover_row`).  The text form joins rows with "/"
+and, when n > 9, separates entries inside a row with spaces: "124/3/5",
+"1 2 10/3 11/...".
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 
 from .partitions import _INTERNED, Partition, _integer
@@ -26,9 +26,9 @@ class StandardTableau(bytes):
     counts when asked.
 
     The constructor and `parse` check that the rows form a standard tableau.
-    `append_box`, `conjugate` and `swap_adjacent` derive a tableau from one
-    that is already valid, so they build it through `_trusted`, which skips
-    the checks.
+    `enumerate_syt`, `conjugate` and `swap_adjacent` derive a tableau from
+    one that is already valid, so they build it through `_trusted`, which
+    skips the checks.
     """
 
     __slots__ = ()
@@ -160,15 +160,10 @@ class StandardTableau(bytes):
         return self.joined(",", "\\," if self.n > 9 else "")
 
 
-def append_box(tableau: StandardTableau, shape: Partition) -> StandardTableau:
-    """Extend a tableau on n-1 boxes to a shape covering its own by placing
-    box n; the caller has checked the cover."""
-    return StandardTableau._trusted(tableau + bytes((shape.cover_row(tableau.shape),)))
-
-
 @lru_cache(maxsize=None)
 def enumerate_syt(shape: Partition) -> tuple[StandardTableau, ...]:
     """All standard tableaux of a shape, ordered by row word."""
+    shape = Partition(shape)  # on a cache miss, a plain tuple of parts becomes its partition
     if shape.n == 1:
         return (StandardTableau([[1]]),)
     found = []
@@ -182,10 +177,10 @@ def enumerate_syt(shape: Partition) -> tuple[StandardTableau, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def syt_ranks(shape: Partition) -> dict[StandardTableau, int]:
     """Each tableau of a shape mapped to its rank, its index in
-    enumerate_syt(shape)."""
+    enumerate_syt(shape), for the last 8 shapes asked."""
     return {t: k for k, t in enumerate(enumerate_syt(shape))}
 
 
@@ -204,42 +199,3 @@ def syt_count(shape: Partition) -> int:
 def row_superstandard(shape: Partition) -> StandardTableau:
     """Entries 1..n filled row by row, left to right."""
     return StandardTableau._trusted(r for r, length in enumerate(shape) for _ in range(length))
-
-
-@lru_cache(maxsize=None)
-def reference_tableau(shape: Partition) -> StandardTableau:
-    """The anchor tableau of a self-conjugate shape.
-
-    A shape with a self-conjugate partition one diagonal cell below extends
-    that partition's anchor by the final box on the main diagonal; any
-    other shape uses its row superstandard filling.
-    """
-    below = shape.self_conjugate_below()
-    if below is None:
-        return row_superstandard(shape)
-    return append_box(reference_tableau(below), shape)
-
-
-def permutation_sign(tableau: StandardTableau, shape: Partition) -> int:
-    """Sign of the permutation sending the anchor filling of the tableau's
-    shape, which the caller passes so it is not read off the word again, to
-    this one, cellwise.
-
-    Both row words list the same cells in the same order, so the cellwise
-    permutation is one row word composed with the inverse of the other, and
-    its sign is the product of their signs.  A row word, read as a
-    permutation, has the parity of inv(T), the number of pairs of entries
-    j < k with j in a later row than k.  So the sign is
-    (-1)^(inv(T) + inv(anchor)).
-    """
-    inversions = _inversions(tableau) + _anchor_inversions(shape)
-    return -1 if inversions % 2 else 1
-
-
-def _inversions(word: bytes) -> int:
-    return sum(a > b for a, b in combinations(word, 2))
-
-
-@lru_cache(maxsize=None)
-def _anchor_inversions(shape: Partition) -> int:
-    return _inversions(reference_tableau(shape))

@@ -25,7 +25,7 @@ from .gt import carry, embed, gt_vectors
 from .labels import AltLabel, dagger_down_set, dim_alt, labels, level_dimension_total
 from .partitions import Partition, partitions_of, self_conjugate_partitions
 from .scalars import I, ONE, ZERO
-from .tableaux import enumerate_syt, reference_tableau
+from .tableaux import enumerate_syt
 from .yor import GTVector
 
 
@@ -166,7 +166,7 @@ def _phi_failure(shape: Partition) -> str | None:
                 return f"generator {i} does not anticommute with phi on {t}"
     expected = FOURTH_ROOT_TABLE.get(str(shape))
     if expected is not None:
-        got = associator.assoc_coeff(reference_tableau(shape))
+        got = associator.assoc_coeff(associator.reference_tableau(shape))
         if got != expected:
             return f"anchor coefficient {got}, expected {expected}"
     return None

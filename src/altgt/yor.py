@@ -91,6 +91,10 @@ class GTVector:
         vec._terms = terms
         return vec
 
+    def __reduce__(self):
+        # pickle protocols 0 and 1 cannot save __slots__ without __getstate__
+        return GTVector._trusted, (self._shape, self._terms)
+
     @classmethod
     def basis(cls, tableau: StandardTableau) -> "GTVector":
         return cls(tableau.shape, {tableau: ONE})

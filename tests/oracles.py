@@ -15,11 +15,11 @@ from itertools import permutations, product
 from math import isqrt, lcm
 
 from altgt import AltLabel, AltPath, Partition, StandardTableau
-from altgt.associator import apply_phi, assoc_coeff
+from altgt.associator import apply_phi
 from altgt.gt import embed
 from altgt.labels import dagger_down_set, labels
-from altgt.scalars import ZERO, Scalar
-from altgt.tableaux import append_box, enumerate_syt, syt_ranks
+from altgt.scalars import I_POWERS, ZERO, Scalar
+from altgt.tableaux import enumerate_syt, syt_ranks
 from altgt.yor import GTVector, act_simple
 
 
@@ -225,14 +225,42 @@ def restricted(vec, shape: Partition):
 
 def append_box_cover_map(shape: Partition) -> dict[Partition, list[int]]:
     """The cover map built tableau by tableau: each tableau of each partition
-    one box below, extended by box n with `append_box` and looked up in
-    `syt_ranks(shape)`.  Unlike the rest of this module it uses the
-    library's own tables; it is the second construction of the map."""
-    rank = syt_ranks(shape)
+    one box below, extended by box n with `add_box` in the row of the cell
+    that partition lacks and looked up in `syt_ranks(shape)`.  Unlike the
+    rest of this module it reads the library's enumeration, ranks and down
+    set order; it is the second construction of the map."""
+    rank, rows = syt_ranks(shape), brute_force_cover_rows(shape)
     return {
-        below: [rank[append_box(t, shape)] for t in enumerate_syt(below)]
+        below: [rank[add_box(t, rows[below])] for t in enumerate_syt(below)]
         for below in shape.down_set()
     }
+
+
+@lru_cache(maxsize=None)
+def anchor_tableau(shape: Partition) -> StandardTableau:
+    """The anchor of a self-conjugate shape with d diagonal cells: when its
+    last diagonal cell (d - 1, d - 1) ends row d - 1, the anchor of the shape
+    without that cell with n added there; otherwise the rows filled in
+    order."""
+    d = sum(1 for r, part in enumerate(shape) if part > r)
+    if shape.n > 1 and shape[d - 1] == d:
+        below = Partition([part - (r == d - 1) for r, part in enumerate(shape) if part - (r == d - 1)])
+        return add_box(anchor_tableau(below), d - 1)
+    entries = iter(range(1, shape.n + 1))
+    return StandardTableau([[next(entries) for _ in range(part)] for part in shape])
+
+
+def phi_exponent(t: StandardTableau) -> int:
+    """The exponent k of the intertwiner's root i^k on t: (n - d)/2 for d
+    diagonal cells, plus 2 when the cellwise map from the anchor to t is odd
+    by inversion counting, mod 4."""
+    shape = t.shape
+    d = sum(1 for r, part in enumerate(shape) if part > r)
+    mapping = {}
+    for r, row in enumerate(anchor_tableau(shape).rows):
+        for c, entry in enumerate(row):
+            mapping[entry] = t.rows[r][c]
+    return ((shape.n - d) // 2 + (0 if inversion_sign(mapping) == 1 else 2)) % 4
 
 
 def scalar_walk(path: AltPath) -> GTVector:
@@ -299,7 +327,7 @@ def dense_yor_output(shape: Partition, i: int, fmt: str) -> str:
 
 def dense_assoc_output(shape: Partition, fmt: str) -> str:
     """The stdout of `assoc shape --format fmt`, built whole."""
-    rows = [(t, assoc_coeff(t), t.conjugate()) for t in enumerate_syt(shape)]
+    rows = [(t, I_POWERS[phi_exponent(t)], transpose(t)) for t in enumerate_syt(shape)]
     if fmt == "json":
         payload = [{"tableau": t.to_json(), "coeff": c.to_json(), "conjugate": tc.to_json()}
                    for t, c, tc in rows]

@@ -8,7 +8,7 @@ import math
 import time
 
 from altgt import associator, yor
-from altgt.associator import assoc_coeff
+from altgt.associator import assoc_coeff, reference_tableau
 from altgt.geodesics import (
     AltPath,
     class_members,
@@ -20,7 +20,7 @@ from altgt.gt import gt_basis, gt_vector
 from altgt.labels import AltLabel, canonical_label, labels
 from altgt.partitions import Partition, self_conjugate_partitions
 from altgt.scalars import I, ONE
-from altgt.tableaux import StandardTableau, reference_tableau
+from altgt.tableaux import StandardTableau
 from altgt.verify import (
     FOURTH_ROOT_TABLE,
     verify_associator,
@@ -30,7 +30,7 @@ from altgt.verify import (
 )
 from altgt.yor import GTVector
 from oracles import branch_count_r, brute_force_class_members, brute_force_syt, class_signature
-from test_verify import column_flip, unsigned_coeff, unwarmed_phi_table
+from test_verify import column_flip, unsigned_exponent, unwarmed_phi_table
 
 
 def vec(shape_text, terms):
@@ -208,7 +208,7 @@ def test_criterion_9_fault_injection(monkeypatch):
         patch.setattr(yor, "act_simple", column_flip)
         assert not verify_yor(4).ok
     with monkeypatch.context() as patch:
-        patch.setattr(associator, "assoc_coeff", unsigned_coeff)
+        patch.setattr(associator, "_exponent", unsigned_exponent)
         unwarmed_phi_table(patch)
         assert not verify_associator(4).ok
         assert not verify_gt(AltLabel.parse("2,1^+")).ok

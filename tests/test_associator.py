@@ -3,11 +3,11 @@ from collections import Counter
 import pytest
 
 from altgt import associator
-from altgt.associator import apply_phi, assoc_coeff
+from altgt.associator import apply_phi, assoc_coeff, reference_tableau
 from altgt.gt import embed
 from altgt.partitions import Partition, self_conjugate_partitions
 from altgt.scalars import I, I_POWERS, ONE
-from altgt.tableaux import StandardTableau, enumerate_syt, reference_tableau
+from altgt.tableaux import StandardTableau, enumerate_syt
 from altgt.verify import verify_gt_range
 from altgt.yor import GTVector, act_simple, act_word
 from oracles import canonical_terms, raw_product, raw_terms
@@ -26,15 +26,15 @@ def test_apply_phi_rejects_every_vector_of_a_non_self_conjugate_shape():
 
 
 def test_phi_table_computes_each_root_once(monkeypatch):
-    # assoc_coeff runs once per tableau of each shape phi reaches, never per term
+    # _exponent runs once per tableau of each shape phi reaches, never per term
     calls = Counter()
 
-    def counted(tableau, _orig=assoc_coeff):
+    def counted(tableau, shape, _orig=associator._exponent):
         calls[tableau] += 1
-        return _orig(tableau)
+        return _orig(tableau, shape)
 
     associator._phi_table.cache_clear()
-    monkeypatch.setattr(associator, "assoc_coeff", counted)
+    monkeypatch.setattr(associator, "_exponent", counted)
     assert verify_gt_range(8).ok
     shapes = {t.shape for t in calls}
     assert len(shapes) == 7  # every self-conjugate shape with 3 <= n <= 8
@@ -49,6 +49,7 @@ def test_coefficient_values():
     shape = Partition((3, 1, 1))
     assert assoc_coeff(StandardTableau.parse("123/4/5")) == -ONE
     assert assoc_coeff(StandardTableau.parse("124/3/5")) == ONE
+    assert assoc_coeff(StandardTableau.parse("134/2/5")) == -ONE
     assert assoc_coeff(StandardTableau.parse("12/3")) == I
 
 

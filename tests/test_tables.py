@@ -6,13 +6,13 @@ from fractions import Fraction
 
 from altgt import associator, gt, yor
 from altgt.partitions import Partition, partitions_of, self_conjugate_partitions
-from altgt.scalars import I, I_POWERS, ONE, Scalar, sqrt_rational
-from altgt.tableaux import enumerate_syt, reference_tableau, syt_count, syt_ranks
+from altgt.scalars import I, I_POWERS, Scalar, sqrt_rational
+from altgt.tableaux import enumerate_syt, syt_count, syt_ranks
 from oracles import (
     add_box,
     brute_force_cover_rows,
     canonical_terms,
-    inversion_sign,
+    phi_exponent,
     raw_product,
     raw_terms,
     remove_largest,
@@ -95,7 +95,6 @@ def test_scaled_entries_memo_is_bounded():
 def test_phi_table_is_the_transpose_and_its_root():
     shapes = [shape for n in range(1, 10) for shape in self_conjugate_partitions(n)]
     assert len(shapes) == 10
-    powers = (ONE, I, -ONE, -I)
     for shape in shapes:
         basis = enumerate_syt(shape)
         partners, exponents = associator._phi_table(shape)
@@ -103,15 +102,7 @@ def test_phi_table_is_the_transpose_and_its_root():
         assert isinstance(exponents, bytes) and len(exponents) == len(basis)
         # i^((n - d)/2) times the sign of the cellwise map from the anchor,
         # stored as its exponent k of i
-        d = sum(1 for r, part in enumerate(shape) if part > r)
-        root = powers[(shape.n - d) // 2 % 4]
-        ref = reference_tableau(shape)
-        for t, got in zip(basis, map(powers.__getitem__, exponents)):
-            mapping = {}
-            for r, row in enumerate(ref.rows):
-                for c, entry in enumerate(row):
-                    mapping[entry] = t.rows[r][c]
-            assert got == (root if inversion_sign(mapping) == 1 else -root)
+        assert list(exponents) == [phi_exponent(t) for t in basis]
 
 
 def test_cover_map_adds_and_removes_box_n():

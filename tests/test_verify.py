@@ -4,8 +4,8 @@ from altgt import associator, gt, verify, yor
 from altgt.geodesics import enumerate_paths
 from altgt.labels import AltLabel, labels
 from altgt.partitions import partitions_of
-from altgt.scalars import I, ONE
-from altgt.tableaux import StandardTableau, permutation_sign
+from altgt.scalars import ONE
+from altgt.tableaux import StandardTableau
 from altgt.verify import (
     Check,
     Report,
@@ -97,15 +97,18 @@ def column_flip(i, vec, _orig=yor.act_simple):
     return out
 
 
-def unsigned_coeff(tableau, _orig=associator.assoc_coeff):
-    # drop the permutation sign factor
-    c = _orig(tableau)
-    return -c if permutation_sign(tableau, tableau.shape) == -1 else c
+def unsigned_exponent(tableau, shape):
+    # drop the permutation sign factor: every tableau gets i^((n - d)/2)
+    return (shape.n - shape.diagonal_length()) // 2 % 4
 
 
-def rotated_coeff(tableau, _orig=associator.assoc_coeff):
+def negated_exponent(tableau, shape, _orig=associator._exponent):
+    return (_orig(tableau, shape) + 2) % 4
+
+
+def rotated_exponent(tableau, shape, _orig=associator._exponent):
     # phi squares to -1 but still anticommutes with every generator
-    return _orig(tableau) * I
+    return (_orig(tableau, shape) + 1) % 4
 
 
 def doubled_axial_distance(self, i, _orig=StandardTableau.axial_distance):
@@ -187,13 +190,13 @@ def test_fault_injection_one_level(monkeypatch, i, n, scale, first):
 
 def unwarmed_phi_table(patch):
     # apply_phi reads each root from a cached table per shape; its uncached
-    # builder sees a patched assoc_coeff even when a table of the same shape
+    # builder sees a patched _exponent even when a table of the same shape
     # was built before the patch
     patch.setattr(associator, "_phi_table", associator._phi_table.__wrapped__)
 
 
 def test_fault_injection_associator(monkeypatch):
-    monkeypatch.setattr(associator, "assoc_coeff", unsigned_coeff)
+    monkeypatch.setattr(associator, "_exponent", unsigned_exponent)
     unwarmed_phi_table(monkeypatch)
     report = verify_associator(4)
     assert not report.ok
@@ -202,8 +205,7 @@ def test_fault_injection_associator(monkeypatch):
 
 def test_fault_injection_anchor(monkeypatch):
     # a negated intertwiner keeps every identity but the anchor coefficients
-    orig = associator.assoc_coeff
-    monkeypatch.setattr(associator, "assoc_coeff", lambda t: -orig(t))
+    monkeypatch.setattr(associator, "_exponent", negated_exponent)
     unwarmed_phi_table(monkeypatch)
     bad = verify_associator(5).failures()
     assert [(c.subject, c.witness) for c in bad] == [
@@ -214,7 +216,7 @@ def test_fault_injection_anchor(monkeypatch):
 
 
 def test_fault_injection_gt(monkeypatch):
-    monkeypatch.setattr(associator, "assoc_coeff", unsigned_coeff)
+    monkeypatch.setattr(associator, "_exponent", unsigned_exponent)
     unwarmed_phi_table(monkeypatch)
     report = verify_gt(AltLabel.parse("2,1^+"))
     assert not report.ok
@@ -222,7 +224,7 @@ def test_fault_injection_gt(monkeypatch):
 
 
 def test_fault_injection_square(monkeypatch):
-    monkeypatch.setattr(associator, "assoc_coeff", rotated_coeff)
+    monkeypatch.setattr(associator, "_exponent", rotated_exponent)
     unwarmed_phi_table(monkeypatch)
     report = verify_associator(6)
     bad = report.failures()
@@ -333,7 +335,7 @@ def test_warm_caches_do_not_hide_faults(monkeypatch):
 
     assert all(outcomes().values())
     with monkeypatch.context() as patch:
-        patch.setattr(associator, "assoc_coeff", unsigned_coeff)
+        patch.setattr(associator, "_exponent", unsigned_exponent)
         unwarmed_phi_table(patch)
         assert outcomes() == {"assoc": False, "yor": True, "gt 3,2,1^+": False, "gt 4,2,1": False}
     with monkeypatch.context() as patch:
