@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from altgt.associator import reference_tableau
+from altgt.associator import assoc_coeff, reference_tableau
 from altgt.geodesics import AltPath
 from altgt.gt import gt_vector
 from altgt.labels import AltLabel
@@ -177,6 +177,15 @@ def test_reference_tableaux():
     assert reference_tableau(Partition((4, 2, 1, 1))) == StandardTableau.parse("1234/58/6/7")
     with pytest.raises(ValueError):
         reference_tableau(Partition((3, 1)))
+
+
+def test_permutation_sign_examples():
+    # The root of T is the anchor's root times the sign of the cellwise map
+    # from the anchor to T.
+    for text, sign in (("123/4/5", 1), ("124/3/5", -1), ("134/2/5", 1)):
+        t = StandardTableau.parse(text)
+        anchor_root = assoc_coeff(reference_tableau(t.shape))
+        assert assoc_coeff(t) == (anchor_root if sign == 1 else -anchor_root)
 
 
 def test_axial_distance():
